@@ -1,0 +1,9 @@
+"""Put the package source and the benchmark's own modules on the import path."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (os.path.join(os.path.dirname(BENCH_DIR), "src"), BENCH_DIR):
+    if path not in sys.path:
+        sys.path.insert(0, path)
