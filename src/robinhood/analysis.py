@@ -34,6 +34,7 @@ from .errors import (
     RestrictionViolated,
     SpecInvalid,
     TermUndefined,
+    VerificationFailed,
 )
 from .schedule import GameInstance, bounded_memory_gap, decimal_str
 
@@ -138,28 +139,29 @@ def survival_curve(
         )
 
     # Fail before emitting anything, regardless of where the violation sits.
+    # A violation on the valid prefix wins over an invalid day later on.
     if mode == MODE_PAPER:
-        for i in range(d, horizon + 1):
-            if instance.very_old_level(i) <= instance.r_at(i):
-                raise RestrictionViolated(
-                    f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
-                )
-    else:
-        # The exact law assumes removals never dip into the memory window,
-        # which must hold from night 1 (earlier dips would distort the
-        # very-old pool that later factors divide by), and that forgotten
-        # days stay forgotten (memory gap never shrinks).
-        for i in range(1, horizon):
-            if instance.b_at(i + 1) > instance.b_at(i) + 1:
-                raise RestrictionViolated(
-                    f"memory bound grows too fast at night {i}: the exact survival law needs"
-                    " a nondecreasing memory gap"
-                )
-        for i in range(1, horizon + 1):
-            if instance.very_old_level(i) < instance.r_at(i):
-                raise RestrictionViolated(
-                    f"Ltilde({i}) < r({i}): removals would dip into the memory window"
-                )
+        i = instance.restriction2_violations.first(d, horizon)
+        if i is not None:
+            raise RestrictionViolated(
+                f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
+            )
+    elif not instance.restriction1_holds(instance.valid_end(horizon)):
+        # The exact law assumes forgotten days stay forgotten (memory gap
+        # never shrinks) and, below, that removals never dip into the memory
+        # window from night 1 on (earlier dips would distort the very-old
+        # pool that later factors divide by).
+        raise RestrictionViolated(
+            f"memory bound grows too fast at night {instance.restriction1_first_violation}:"
+            " the exact survival law needs a nondecreasing memory gap"
+        )
+    instance.require_valid(horizon)
+    if mode == MODE_EXACT:
+        i = instance.window_dips.first(1, horizon)
+        if i is not None:
+            raise RestrictionViolated(
+                f"Ltilde({i}) < r({i}): removals would dip into the memory window"
+            )
 
     if space == SPACE_RATIONAL:
         acc = Fraction(1)
@@ -284,10 +286,6 @@ class Verdict:
         return obj
 
 
-def _memory_gap_nondecreasing(instance: GameInstance, upto: int) -> bool:
-    return all(instance.b_at(i + 1) <= instance.b_at(i) + 1 for i in range(1, upto))
-
-
 def _classify_bounded_gap(instance: GameInstance, horizon: int) -> Verdict | None:
     """Rule: the memory-spec family proves i - b(i) bounded."""
     bound = bounded_memory_gap(instance.spec.b_spec)
@@ -295,7 +293,10 @@ def _classify_bounded_gap(instance: GameInstance, horizon: int) -> Verdict | Non
         return None
     observed = max(i - instance.b_at(i) for i in range(1, horizon + 1))
     # The symbolic bound covers every index, so the scan can never beat it.
-    assert observed <= bound, "family bound contradicted by direct evaluation"
+    if observed > bound:
+        raise VerificationFailed(
+            f"family bound {bound} on i - b(i) contradicted by direct evaluation: {observed}"
+        )
     certificate = {
         "i_minus_b_bound": bound,
         "max_observed_gap": observed,
@@ -323,9 +324,9 @@ def _classify_pinned_pool(instance: GameInstance, horizon: int) -> Verdict | Non
     if _separation_provenance_role(instance) != "c":
         return None
     upto = min(horizon, instance.horizon_cap)
-    if upto < 1 or not _memory_gap_nondecreasing(instance, upto):
+    if upto < 1 or not instance.restriction1_holds(upto):
         return None
-    if any(instance.very_old_level(i) > instance.r_at(i) for i in range(1, upto + 1)):
+    if not instance.restriction2_violations.covers(1, upto):
         return None
     certificate = {
         "witness": "Ltilde(i) <= r(i) at every checked index (by construction at every index)",
@@ -356,7 +357,7 @@ def _classify_divergent(instance: GameInstance, horizon: int) -> Verdict | None:
     anchor = max(from_s + b0 - 1, from_r, from_b, b0, 2)
     if anchor + 1 > min(horizon, instance.horizon_cap):
         return None
-    if not _memory_gap_nondecreasing(instance, anchor + 1):
+    if not instance.restriction1_holds(anchor + 1):
         return None
 
     slope = s0 - r0
@@ -391,12 +392,12 @@ def _classify_convergent(instance: GameInstance, horizon: int) -> Verdict | None
     if _separation_provenance_role(instance) != "b":
         return None
     upto = min(horizon, instance.horizon_cap)
-    if upto < 2 or not _memory_gap_nondecreasing(instance, upto):
+    if upto < 2 or not instance.restriction1_holds(upto):
         return None
 
-    violations = [i for i in range(1, upto + 1) if instance.very_old_level(i) <= instance.r_at(i)]
-    prefix_end = len(violations)
-    if violations != list(range(1, prefix_end + 1)) or prefix_end >= upto:
+    # The violations of restriction 2 must form a proper prefix 1..prefix_end.
+    prefix_end = instance.restriction2_violations.last(upto) or 0
+    if prefix_end >= upto or (prefix_end and not instance.restriction2_violations.covers(1, prefix_end)):
         return None
     start = max(2, prefix_end + 1)
     for i in range(start, upto + 1):

@@ -91,7 +91,10 @@ def _emit(obj: Any) -> None:
 
 
 def _load_instance(args: argparse.Namespace, horizon_cap: int | None = None) -> GameInstance:
+    """Load the schedule, materialized at least through ``--horizon`` when given."""
     spec = load_schedule(args.schedule)
+    if horizon_cap is None:
+        horizon_cap = max(DEFAULT_HORIZON_CAP, getattr(args, "horizon", None) or 0)
     return GameInstance(spec, horizon_cap=horizon_cap, digit_budget=_resolve_budget(args))
 
 
@@ -107,9 +110,7 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum."""
     if not (1 <= horizon <= instance.horizon_cap):
         raise SpecInvalid(f"csv horizon {horizon} outside [1, {instance.horizon_cap}]")
-    end = horizon
-    if instance.first_invalid_index is not None:
-        end = min(end, instance.first_invalid_index - 1)
+    end = instance.valid_end(horizon)
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
     running: list[float] = []

@@ -176,7 +176,8 @@ def separating_instance(
     c_vals = [0] + [min(b_vals[i] + 1, i) for i in range(1, steps + 2)]
     gaps = [0] + [i - c_vals[i] for i in range(1, steps + 2)]
     # Nondecreasing gaps follow from the memory restriction just checked.
-    assert all(gaps[i + 1] >= gaps[i] for i in range(1, steps + 1))
+    if any(gaps[i + 1] < gaps[i] for i in range(1, steps + 1)):
+        raise VerificationFailed("window gap i - c(i) shrinks despite the memory restriction")
     if gaps[steps + 1] < 1:
         raise RestrictionViolated(
             f"window gap i - c(i) never opens within {steps} steps;"
@@ -192,7 +193,8 @@ def separating_instance(
     checked_through = 0
 
     for i in range(1, steps + 1):
-        assert len(s_table) == gaps[i], "arrival coverage out of sync with the window gap"
+        if len(s_table) != gaps[i]:
+            raise VerificationFailed(f"arrival coverage out of sync with the window gap at step {i}")
         ltilde_c = max(0, s_sum - r_sum)
         r_i = max(i + 1, ltilde_c)
         guard_digits(r_i, digit_budget, context=f"removal value at step {i}")

@@ -9,10 +9,11 @@ The partition on night i is: the very-old pool (arrival day <= i - b(i)),
 then one cell per remembered arrival day, oldest first. Removal follows the
 oldest-first cascade — find the minimal prefix of the partition whose total
 strictly exceeds the night's quota r(i); every earlier cell is emptied and
-the remainder is drawn from the boundary cell, either by lowest internal id
-(deterministic variant) or as a uniform subset (randomized variant).
-Internal ids order bags by arrival day, then by position within the day's
-batch, so the deterministic variant is exactly FIFO.
+the remainder is drawn from the boundary cell, either by lowest arrival
+rank (deterministic variant) or as a uniform subset (randomized variant).
+Bag ``pos`` of day d has arrival rank s(1) + ... + s(d-1) + pos, so the
+deterministic variant is FIFO over all arrivals, and the tagged bags it
+removes are read from the instance's prefix sums (``GameInstance.fifo_cut``).
 
 Randomness is addressable: the draw stream for night i of trial t under
 master seed S has key ``stream_key(S, t, i)`` (stream 0 is reserved for bag
@@ -93,28 +94,10 @@ class TaggedBag:
 
 @dataclass
 class WindowCell:
-    """Bags from one remembered arrival day; positions [front, end) remain.
-
-    Only the deterministic strategy consumes positions from the front; for
-    the randomized strategy the width end - front is just a count.
-    """
+    """The count of bags left from one remembered arrival day."""
 
     day: int
-    front: int
-    end: int
-
-    @property
-    def count(self) -> int:
-        return self.end - self.front
-
-
-@dataclass
-class Segment:
-    """A merged span of the very-old pool, kept in arrival order for FIFO."""
-
-    day: int
-    front: int
-    end: int
+    count: int
 
 
 @dataclass
@@ -122,16 +105,13 @@ class CaveState:
     """Mutable game state owned by a single run.
 
     ``night`` is the last completed night; ``merge_cutoff`` is the largest
-    arrival day already merged into the very-old pool. ``segments`` carries
-    the arrival-ordered structure of the very-old pool; only the
-    deterministic strategy reads it.
+    arrival day already merged into the very-old pool.
     """
 
     night: int = 0
     cave_size: int = 0
     very_old_count: int = 0
     merge_cutoff: int = 0
-    segments: deque[Segment] = field(default_factory=deque)
     cells: deque[WindowCell] = field(default_factory=deque)
     tagged: list[TaggedBag] = field(default_factory=list)
     pending_tags: dict[int, list[int]] = field(default_factory=dict)
@@ -155,7 +135,7 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
         raise ScheduleExhausted(f"day {i} beyond instance horizon_cap {instance.horizon_cap}")
     _, s_i, b_i = instance.evaluate(i)
 
-    state.cells.append(WindowCell(day=i, front=1, end=s_i + 1))
+    state.cells.append(WindowCell(day=i, count=s_i))
     state.cave_size += s_i
 
     for pos in state.pending_tags.pop(i, ()):  # created in position order
@@ -171,10 +151,7 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
             f" (cutoff {cutoff} < previously merged {state.merge_cutoff})"
         )
     while state.cells and state.cells[0].day <= cutoff:
-        cell = state.cells.popleft()
-        if cell.count > 0:
-            state.segments.append(Segment(day=cell.day, front=cell.front, end=cell.end))
-            state.very_old_count += cell.count
+        state.very_old_count += state.cells.popleft().count
     state.merge_cutoff = cutoff
     return state
 
@@ -234,7 +211,6 @@ class RemovalPlan:
 
     night: int
     quota: int
-    strategy: StrategyKind
     very_old_take: int
     window_takes: list[tuple[int, int]]  # (arrival day, count), oldest first
     removed_tagged: list[int]  # tagged bag ids
@@ -247,32 +223,6 @@ class RemovalPlan:
         return cells
 
 
-def _very_old_tags(state: CaveState) -> list[TaggedBag]:
-    return [b for b in state.tagged if b.in_cave and b.day <= state.merge_cutoff]
-
-
-def _cell_tags(state: CaveState, day: int) -> list[TaggedBag]:
-    return [b for b in state.tagged if b.in_cave and b.day == day]
-
-
-def _det_very_old_removals(state: CaveState, q: int) -> list[int]:
-    """Tagged ids hit when q lowest-id bags leave the very-old pool."""
-    removed: list[int] = []
-    q_left = q
-    for seg in state.segments:
-        if q_left == 0:
-            break
-        take = min(q_left, seg.end - seg.front)
-        upper = seg.front + take
-        for bag in state.tagged:
-            if bag.in_cave and bag.day == seg.day and seg.front <= bag.pos < upper:
-                removed.append(bag.id)
-        q_left -= take
-    if q_left:
-        raise AssertionError("very-old pool shorter than its recorded count")
-    return removed
-
-
 def select_removals(
     state: CaveState,
     instance: GameInstance,
@@ -283,10 +233,11 @@ def select_removals(
     """Plan night i's removals without mutating the state.
 
     Walks the partition oldest-first, emptying whole cells until the quota
-    r(i) lands strictly inside one boundary cell; the boundary remainder is
-    taken by lowest id (deterministic) or uniformly (randomized). Tagged
-    bags inside a uniformly drawn remainder are resolved by an exact
-    hypergeometric draw, then a uniform choice of which tagged ones go.
+    r(i) lands inside one boundary cell. The deterministic strategy removes
+    the tagged bags that FIFO has reached by the end of night i. The
+    randomized one takes the boundary remainder uniformly: tagged bags
+    inside it are resolved by an exact hypergeometric draw, then a uniform
+    choice of which tagged ones go.
     """
     strategy = as_strategy(strategy)
     if i != state.night + 1:
@@ -297,64 +248,41 @@ def select_removals(
     if strategy is StrategyKind.OLDEST_RND and rng is None:
         raise SpecInvalid("randomized strategy needs an rng stream")
 
-    removed_tagged: list[int] = []
     vo = state.very_old_count
-
-    if quota < vo:
-        # Boundary inside the very-old pool: nothing else is touched.
-        if strategy is StrategyKind.OLDEST_DET:
-            removed_tagged = _det_very_old_removals(state, quota)
-        else:
-            tags = _very_old_tags(state)
-            j = sample_hypergeom(vo, len(tags), quota, rng)
-            removed_tagged = [tags[k].id for k in _choose_uniform_subset(len(tags), j, rng)]
-        return RemovalPlan(
-            night=i,
-            quota=quota,
-            strategy=strategy,
-            very_old_take=quota,
-            window_takes=[],
-            removed_tagged=removed_tagged,
-        )
-
-    # The whole very-old pool goes; continue the cascade through the window.
-    removed_tagged.extend(b.id for b in _very_old_tags(state))
-    window_takes: list[tuple[int, int]] = []
-    cum = vo
+    cuts = [(VERY_OLD_KEY, vo, min(quota, vo))]  # (cell key, count, take), oldest first
+    left = quota - cuts[0][2]
     for cell in state.cells:
-        if cum == quota:
+        if left == 0:
             break
-        count = cell.count
-        if quota < cum + count:
-            q = quota - cum
-            if q:
-                window_takes.append((cell.day, q))
-                tags = _cell_tags(state, cell.day)
-                if strategy is StrategyKind.OLDEST_DET:
-                    upper = cell.front + q
-                    removed_tagged.extend(
-                        b.id for b in tags if cell.front <= b.pos < upper
-                    )
-                else:
-                    j = sample_hypergeom(count, len(tags), q, rng)
-                    removed_tagged.extend(
-                        tags[k].id for k in _choose_uniform_subset(len(tags), j, rng)
-                    )
-            cum = quota
-            break
-        if count:
-            window_takes.append((cell.day, count))
-            removed_tagged.extend(b.id for b in _cell_tags(state, cell.day))
-            cum += count
-    if cum != quota:
+        take = min(left, cell.count)
+        if take:
+            cuts.append((cell.day, cell.count, take))
+            left -= take
+    if left:
         raise AssertionError("cascade failed to cover the quota despite a large enough cave")
+
+    if strategy is StrategyKind.OLDEST_DET:
+        cut = instance.fifo_cut(i)
+        removed_tagged = [b.id for b in state.tagged if b.removed_night is None and (b.day, b.pos) <= cut]
+    else:
+        tags_of: dict[int, list[TaggedBag]] = {}
+        for b in state.tagged:
+            if b.in_cave:
+                key = VERY_OLD_KEY if b.day <= state.merge_cutoff else b.day
+                tags_of.setdefault(key, []).append(b)
+        # Whole cells draw nothing: sample_hypergeom and the subset choice
+        # are forced when the take is the whole count.
+        removed_tagged = []
+        for key, count, take in cuts:
+            tags = tags_of.get(key, [])
+            j = sample_hypergeom(count, len(tags), take, rng)
+            removed_tagged.extend(tags[k].id for k in _choose_uniform_subset(len(tags), j, rng))
 
     return RemovalPlan(
         night=i,
         quota=quota,
-        strategy=strategy,
-        very_old_take=vo,
-        window_takes=window_takes,
+        very_old_take=cuts[0][2],
+        window_takes=[(day, take) for day, _, take in cuts[1:]],
         removed_tagged=removed_tagged,
     )
 
@@ -364,28 +292,14 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
     if plan.night != state.night + 1:
         raise SpecInvalid(f"plan for night {plan.night} but last completed night is {state.night}")
 
-    q_left = plan.very_old_take
-    state.very_old_count -= q_left
-    if plan.strategy is StrategyKind.OLDEST_DET:
-        while q_left and state.segments:
-            seg = state.segments[0]
-            take = min(q_left, seg.end - seg.front)
-            seg.front += take
-            q_left -= take
-            if seg.front == seg.end:
-                state.segments.popleft()
-    else:
-        # Counts suffice for the randomized strategy; drop structure lazily.
-        if state.very_old_count == 0:
-            state.segments.clear()
-
+    state.very_old_count -= plan.very_old_take
     cell_iter = iter(state.cells)
     for day, take in plan.window_takes:
         for cell in cell_iter:
             if cell.day == day:
                 if take > cell.count:
                     raise SpecInvalid(f"plan removes {take} from day {day} cell of {cell.count}")
-                cell.front += take
+                cell.count -= take
                 break
         else:
             raise SpecInvalid(f"plan references day {day} not present in the window")
@@ -527,19 +441,17 @@ def _fast_path_probs(instance: GameInstance, d: int, nights: int) -> list[tuple[
     law applies on the whole prefix: the memory gap never shrinks and the
     very-old pool always covers the quota (removals never touch the window).
     """
-    if instance.first_invalid_index is not None:
+    if (
+        instance.first_invalid_index is not None
+        or not instance.restriction1_holds(nights)
+        or instance.window_dips.first(1, nights) is not None
+    ):
         return None
-    for i in range(1, nights):
-        if instance.b_at(i + 1) > instance.b_at(i) + 1:
-            return None
-    probs: list[tuple[int, float]] = []
-    for i in range(1, nights + 1):
-        ltilde = instance.very_old_level(i)
-        if ltilde < instance.r_at(i):
-            return None
-        if i >= d and d <= i - instance.b_at(i):
-            probs.append((i, float(Fraction(instance.r_at(i), ltilde))))
-    return probs
+    return [
+        (i, float(Fraction(instance.r_at(i), instance.very_old_level(i))))
+        for i in range(d, nights + 1)
+        if d <= i - instance.b_at(i)
+    ]
 
 
 def empirical_survival(

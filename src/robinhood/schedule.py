@@ -16,8 +16,9 @@ From these the module derives
 
 ``GameInstance`` materializes a schedule on a finite index range with eager
 prefix sums, exact arbitrary-precision arithmetic, and a digit budget that
-aborts runaway growth. ``check_restrictions`` reports, relative to a horizon,
-the two structural conditions the analysis layer relies on:
+aborts runaway growth. It also computes, once, where the two structural
+conditions the analysis layer relies on fail, and ``check_restrictions``
+reports them relative to a horizon:
 
 * restriction 1 — ``b(i+1) <= b(i) + 1``, i.e. ``i - b(i)`` never decreases
   (Robin never regains forgotten information);
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -327,12 +330,53 @@ class RestrictionReport:
         }
 
 
+class NightRuns:
+    """The nights on which a condition holds, stored as the nights where it switches.
+
+    ``edges`` lists in increasing order the nights on which the condition
+    changes value, starting from "does not hold" before night 1, so it
+    holds on [edges[0], edges[1]), [edges[2], edges[3]), ... Memory grows
+    with the number of switches, not with the horizon, and every query is
+    one bisection.
+    """
+
+    __slots__ = ("_edges",)
+
+    def __init__(self, edges: array) -> None:
+        self._edges = edges
+
+    def first(self, lo: int, hi: int) -> int | None:
+        """Earliest night in [lo, hi] on which the condition holds, or None."""
+        k = bisect_right(self._edges, lo)
+        night = lo if k % 2 else self._edges[k] if k < len(self._edges) else hi + 1
+        return night if night <= hi else None
+
+    def last(self, hi: int) -> int | None:
+        """Latest night <= hi on which the condition holds, or None."""
+        k = bisect_right(self._edges, hi)
+        if k % 2:
+            return hi
+        return self._edges[k - 1] - 1 if k else None
+
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether the condition holds on every night of [lo, hi]."""
+        k = bisect_right(self._edges, lo)
+        return k % 2 == 1 and (k == len(self._edges) or self._edges[k] > hi)
+
+
 class GameInstance:
     """A schedule materialized on indices 1..horizon_cap.
 
     Values and prefix sums are computed eagerly at construction (exact
     integers, guarded by ``digit_budget``), so the instance is immutable
     afterwards and safe for concurrent readers.
+
+    Construction also records the restriction facts every caller reads
+    instead of scanning: ``restriction1_first_violation``, the first i with
+    b(i+1) > b(i) + 1 over all materialized indices, and, over the valid
+    prefix, the nights ``restriction2_violations`` with Ltilde(i) <= r(i)
+    and the nights ``window_dips`` with Ltilde(i) < r(i), on which
+    oldest-first removal reaches into the memory window.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -346,6 +390,9 @@ class GameInstance:
         "horizon_cap",
         "digit_budget",
         "first_invalid_index",
+        "restriction1_first_violation",
+        "restriction2_violations",
+        "window_dips",
         "_r",
         "_s",
         "_b",
@@ -408,16 +455,54 @@ class GameInstance:
         self._sum_r = sum_r
         self.first_invalid_index = first_invalid
 
+        self.restriction1_first_violation = next(
+            (i for i in range(1, cap) if b_vals[i + 1] > b_vals[i] + 1), None
+        )
+        r2_edges, dip_edges = array("q"), array("q")
+        r2 = dip = False
+        valid_end = self.valid_end(cap)
+        for i in range(1, valid_end + 1):
+            # Ltilde(i) before its clamp at zero; r(i) >= 1 on valid days
+            # makes the clamp irrelevant to both comparisons.
+            pool = sum_s[i - b_vals[i]] - sum_r[i - 1]
+            if (pool <= r_vals[i]) is not r2:
+                r2 = not r2
+                r2_edges.append(i)
+            if (pool < r_vals[i]) is not dip:
+                dip = not dip
+                dip_edges.append(i)
+        # Both conditions stop at the end of the valid prefix.
+        for holds, edges in ((r2, r2_edges), (dip, dip_edges)):
+            if holds:
+                edges.append(valid_end + 1)
+        self.restriction2_violations = NightRuns(r2_edges)
+        self.window_dips = NightRuns(dip_edges)
+
     def _check_index(self, i: int, low: int) -> None:
         if not (low <= i <= self.horizon_cap):
             raise IndexBeyondHorizon(
                 f"index {i} outside [{low}, {self.horizon_cap}] for this instance"
             )
+        self.require_valid(i)
+
+    def require_valid(self, i: int) -> None:
+        """Raise SpecInvalid unless days 1..i are all valid."""
         if self.first_invalid_index is not None and i >= self.first_invalid_index:
             raise SpecInvalid(
                 f"schedule invalid from day {self.first_invalid_index}"
                 " (needs 1 <= r(i) < s(i) and b(i) >= 0)"
             )
+
+    def valid_end(self, horizon: int) -> int:
+        """The last day <= horizon before the first invalid day."""
+        if self.first_invalid_index is None:
+            return horizon
+        return min(horizon, self.first_invalid_index - 1)
+
+    def restriction1_holds(self, upto: int) -> bool:
+        """Whether b(i+1) <= b(i) + 1 for every 1 <= i < upto."""
+        first = self.restriction1_first_violation
+        return first is None or first >= upto
 
     def r_at(self, i: int) -> int:
         self._check_index(i, 1)
@@ -452,8 +537,19 @@ class GameInstance:
         self._check_index(i, 1)
         return self._sum_s[i - self._b[i]] - self._sum_r[i - 1]
 
+    def fifo_cut(self, i: int) -> tuple[int, int]:
+        """(d, p) such that the first r(1) + ... + r(i) arrivals, which FIFO
+        removal has taken by the end of night i, are the bags (day, pos) <= (d, p).
+        """
+        self._check_index(i, 0)
+        removed = self._sum_r[i]
+        # Arrivals strictly increase on the valid days 1..i and outnumber
+        # the removals through night i, so the search can stop at day i.
+        d = bisect_right(self._sum_s, removed, 0, i + 1)
+        return d, removed - self._sum_s[d - 1]
+
     def check_restrictions(self, horizon: int) -> RestrictionReport:
-        """Scan [1, horizon] for validity and the two restrictions."""
+        """Validity and the two restrictions on [1, horizon], from the instance's facts."""
         if not (1 <= horizon <= self.horizon_cap):
             raise IndexBeyondHorizon(
                 f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance"
@@ -463,20 +559,7 @@ class GameInstance:
         if first_invalid is not None and first_invalid > horizon:
             first_invalid = None
         validity_ok = first_invalid is None
-
-        r1_violation: int | None = None
-        for i in range(1, horizon):
-            if self._b[i + 1] > self._b[i] + 1:
-                r1_violation = i
-                break
-
-        # Restriction 2 only makes sense where the game itself is defined.
-        valid_end = horizon if first_invalid is None else first_invalid - 1
-        r2_last: int | None = None
-        for i in range(1, valid_end + 1):
-            ltilde = max(0, self._sum_s[i - self._b[i]] - self._sum_r[i - 1])
-            if ltilde <= self._r[i]:
-                r2_last = i
+        r1_violation = None if self.restriction1_holds(horizon) else self.restriction1_first_violation
 
         gaps = [i - self._b[i] for i in range(1, horizon + 1)]
         gap_max = max(gaps)
@@ -488,7 +571,7 @@ class GameInstance:
             first_invalid_index=first_invalid,
             restriction1_ok=r1_violation is None,
             restriction1_first_violation=r1_violation,
-            restriction2_last_violation=r2_last,
+            restriction2_last_violation=self.restriction2_violations.last(horizon),
             i_minus_b_max=gap_max,
             i_minus_b_grew=grew,
         )

@@ -245,15 +245,18 @@ def _advance(instance: GameInstance, state: CaveState, night: int) -> None:
 
 
 def _members(state: CaveState) -> list[list[int | None]]:
-    """Cave cells oldest-first as lists of tagged ids (None = untagged)."""
-    tag_of = {(b.day, b.pos): b.id for b in state.tagged if b.in_cave}
-    pools: list[list[int | None]] = []
-    vo: list[int | None] = []
-    for seg in state.segments:
-        vo.extend(tag_of.get((seg.day, pos)) for pos in range(seg.front, seg.end))
-    pools.append(vo)
-    for cell in state.cells:
-        pools.append([tag_of.get((cell.day, pos)) for pos in range(cell.front, cell.end)])
+    """Cave cells oldest-first as lists of tagged ids (None = untagged).
+
+    A uniform draw inside a cell depends only on its count and on which
+    tagged bags it holds, so positions are not needed.
+    """
+    in_cave = [b for b in state.tagged if b.in_cave]
+
+    def cell(ids: list[int], count: int) -> list[int | None]:
+        return [*ids, *[None] * (count - len(ids))]
+
+    pools = [cell([b.id for b in in_cave if b.day <= state.merge_cutoff], state.very_old_count)]
+    pools.extend(cell([b.id for b in in_cave if b.day == c.day], c.count) for c in state.cells)
     return pools
 
 

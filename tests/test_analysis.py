@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robinhood import analysis
 from robinhood import (
     KIND_ROBIN_AS,
     KIND_ROBIN_SURELY,
@@ -24,6 +25,7 @@ from robinhood import (
     RestrictionViolated,
     SpecInvalid,
     TermUndefined,
+    VerificationFailed,
     classify,
     separating_instance,
     series_diagnostics,
@@ -256,6 +258,14 @@ def test_classify_full_memory_bounded_gap() -> None:
     assert verdict.kind == KIND_ROBIN_SURELY
     assert verdict.rule == "Prop1.1"
     assert verdict.certificate["i_minus_b_bound"] == 0
+
+
+def test_classify_contradicted_family_bound_fails_verification(monkeypatch) -> None:
+    # A wrong symbolic bound must stop classification even under python -O.
+    monkeypatch.setattr(analysis, "bounded_memory_gap", lambda fs, start_i=1: -1)
+    inst = make_instance(1, 2, FunctionSpec.affine(1, 0), horizon_cap=20)
+    with pytest.raises(VerificationFailed):
+        classify(inst, 20)
 
 
 def test_classify_bounded_gap_after_transient() -> None:

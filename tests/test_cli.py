@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+from robinhood import GameInstance, classify, load_schedule, survival_probability
 from robinhood.cli import DEFAULT_SEED, dispatch
+from robinhood.schedule import canonical_dumps
 
 
 def write_schedule(path, r=1, s=2, b=0) -> str:
@@ -207,3 +209,18 @@ def test_memory_spec_from_json_file(tmp_path, capsys) -> None:
     code, out = run(capsys, "construct", "--memory-b", str(spec_path), "--steps", "4", "-o", str(stem))
     assert code == 0
     assert json.loads(out)["verification"]["ok"] is True
+
+
+def test_horizons_past_the_default_cap_match_the_library(sched, capsys) -> None:
+    horizon = 20_000
+    inst = GameInstance(load_schedule(sched), horizon_cap=horizon)
+    expected = {
+        "validate": inst.check_restrictions(horizon),
+        "classify": classify(inst, horizon),
+        "survival": survival_probability(inst, 3, horizon),
+    }
+    for command, result in expected.items():
+        extra = ["--day", "3"] if command == "survival" else []
+        code, out = run(capsys, command, sched, "--horizon", str(horizon), *extra)
+        assert code == 0
+        assert out == canonical_dumps(result.as_dict()) + "\n"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,9 +24,6 @@ from robinhood import (
     survival_probability,
 )
 from robinhood.engine import (
-    Segment,
-    TaggedBag,
-    WindowCell,
     _fast_path_probs,
     hypergeom_weights,
     sample_hypergeom,
@@ -106,10 +102,11 @@ def test_step_day_past_horizon_is_exhausted() -> None:
 # ------------------------------------------------------------ conservation
 
 
-def _pool_and_window(state) -> tuple[int, int]:
-    pool = sum(seg.end - seg.front for seg in state.segments)
-    window = sum(cell.count for cell in state.cells)
-    return pool, window
+def _pool_and_window(state, instance) -> tuple[int, int]:
+    """The very-old pool from the arrival and removal sums; the window from the cells."""
+    arrived = sum(instance.s_at(j) for j in range(1, state.merge_cutoff + 1))
+    removed = sum(instance.r_at(j) for j in range(1, state.night + 1))
+    return max(0, arrived - removed), sum(cell.count for cell in state.cells)
 
 
 @pytest.mark.parametrize("strategy", [DET, RND])
@@ -120,9 +117,8 @@ def test_counts_conserved_across_nights(strategy) -> None:
     for i in range(1, 31):
         rng = night_rng(17, i) if strategy is RND else None
         advance(state, inst, i, strategy, rng)
-        pool, window = _pool_and_window(state)
-        if strategy is DET:
-            assert pool == state.very_old_count
+        pool, window = _pool_and_window(state, inst)
+        assert pool == state.very_old_count
         assert state.very_old_count + window == state.cave_size
         assert state.cave_size == inst.cave_level(i)
 
@@ -156,26 +152,21 @@ def test_very_old_count_equals_level_formula(strategy) -> None:
 
 
 def test_partial_very_old_det_takes_front_positions() -> None:
-    # Pool: day 1 positions 2..3 (front already advanced), day 2 positions
-    # 1..3. Quota 2 -> day-1 positions 2, 3 leave; tagged (1, 2) goes,
-    # (2, 1) stays.
-    inst = make_instance(2, 9, 0, horizon_cap=5)
-    state = CaveState(
-        night=2,
-        cave_size=5,
-        very_old_count=5,
-        merge_cutoff=2,
-        segments=deque([Segment(day=1, front=2, end=4), Segment(day=2, front=1, end=4)]),
-        tagged=[TaggedBag(id=1, day=1, pos=2), TaggedBag(id=2, day=2, pos=1)],
-        next_tag_id=3,
-    )
-    plan = select_removals(state, inst, 3, DET)
+    # b = 0, s = 3: night 1 takes bag (1, 1), so on night 2 the pool holds
+    # day 1 positions 2..3 and day 2 positions 1..3. Quota 2 -> day-1
+    # positions 2, 3 leave; tagged (1, 2) goes, (2, 1) stays.
+    inst = make_instance(FunctionSpec.table([1], FunctionSpec.constant(2)), 3, 0, horizon_cap=5)
+    state = CaveState(pending_tags={1: [2], 2: [1]})
+    advance(state, inst, 1)
+    step_day(state, inst, 2)
+    assert state.very_old_count == 5
+    plan = select_removals(state, inst, 2, DET)
     assert plan.very_old_take == 2
     assert plan.window_takes == []
     assert plan.removed_tagged == [1]
     apply_removals(state, plan)
     assert state.very_old_count == 3
-    assert state.tagged[0].removed_night == 3
+    assert state.tagged[0].removed_night == 2
     assert state.tagged[1].in_cave
 
 
