@@ -7,9 +7,11 @@ d..N is a product of per-night non-removal factors, available in two modes:
 
 * ``paper_product`` — the literal product of ``1 - r(i)/Ltilde(i)`` over
   every i in [d, N];
-* ``exact_strategy`` — the bag's true survival law: the factor is 1 while
-  the bag is still within the memory window (nights with d > i - b(i));
-  once it is very old the factor is ``1 - r(i)/Ltilde(i)``.
+* ``exact_strategy`` — the bag's true survival law: the factor is
+  ``1 - take/count`` of the cell that holds the bag on night i
+  (``GameInstance.cell``), which is ``1 - r(i)/Ltilde(i)`` once the bag is
+  very old and the pool covers the quota, and 1 while removals do not
+  reach its day in the memory window.
 
 The two modes differ on at most finitely many factors and have the same
 convergence behaviour; ``exact_strategy`` is what the simulator matches.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any
 
 from .errors import (
@@ -82,18 +85,14 @@ class SurvivalResult:
     log_value: float | None
 
     def as_dict(self) -> dict[str, Any]:
-        value: Any
-        if isinstance(self.value, Fraction):
-            value = fraction_str(self.value)
-        else:
-            value = self.value
         return {
             "day": self.day,
             "horizon": self.horizon,
             "mode": self.mode,
             "space": self.space,
-            "value": value,
-            "log_value": self.log_value,
+            "value": fraction_str(self.value) if isinstance(self.value, Fraction) else self.value,
+            # Canonical JSON has no -inf; write it as compare writes a non-finite z.
+            "log_value": "-inf" if self.log_value == -math.inf else self.log_value,
         }
 
 
@@ -140,46 +139,41 @@ def survival_curve(
 
     # Fail before emitting anything, regardless of where the violation sits.
     # A violation on the valid prefix wins over an invalid day later on.
+    # cell(i) is (count, take): on night i the bag leaves a cell of count
+    # bags with probability take/count; paper mode reads the very-old pool.
     if mode == MODE_PAPER:
         i = instance.restriction2_violations.first(d, horizon)
         if i is not None:
             raise RestrictionViolated(
                 f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
             )
-    elif not instance.restriction1_holds(instance.valid_end(horizon)):
-        # The exact law assumes forgotten days stay forgotten (memory gap
-        # never shrinks) and, below, that removals never dip into the memory
-        # window from night 1 on (earlier dips would distort the very-old
-        # pool that later factors divide by).
-        raise RestrictionViolated(
-            f"memory bound grows too fast at night {instance.restriction1_first_violation}:"
-            " the exact survival law needs a nondecreasing memory gap"
-        )
-    instance.require_valid(horizon)
-    if mode == MODE_EXACT:
-        i = instance.window_dips.first(1, horizon)
-        if i is not None:
-            raise RestrictionViolated(
-                f"Ltilde({i}) < r({i}): removals would dip into the memory window"
-            )
+        instance.require_valid(horizon)
+
+        def cell(i: int) -> tuple[int, int]:
+            return instance.very_old_level(i), instance.r_at(i)
+    else:
+        instance.require_playable(horizon)
+        cell = partial(instance.cell, d)
 
     if space == SPACE_RATIONAL:
         acc = Fraction(1)
         emit(d - 1, acc, None)
         for i in range(d, horizon + 1):
-            if mode == MODE_PAPER or d <= i - instance.b_at(i):
-                ltilde = instance.very_old_level(i)
-                acc *= Fraction(ltilde - instance.r_at(i), ltilde)
+            count, take = cell(i)
+            if take:
+                acc *= Fraction(count - take, count)
             emit(i, acc, None)
         return results
 
     log_terms: list[float] = []
-    emit(d - 1, 1.0, 0.0)
+    log_value = 0.0
+    emit(d - 1, 1.0, log_value)
     for i in range(d, horizon + 1):
-        if mode == MODE_PAPER or d <= i - instance.b_at(i):
-            term = Fraction(instance.r_at(i), instance.very_old_level(i))
-            log_terms.append(math.log1p(-float(term)))
-        log_value = math.fsum(log_terms)
+        count, take = cell(i)
+        if take:
+            # take == count removes the bag for sure: log -inf, value 0.
+            log_terms.append(math.log1p(-(take / count)) if take < count else -math.inf)
+            log_value = math.fsum(log_terms)
         emit(i, math.exp(log_value), log_value)
     return results
 

@@ -28,7 +28,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Any, Iterable
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
     RestrictionViolated,
     ScheduleExhausted,
     SpecInvalid,
+    VerificationFailed,
 )
 from .rng import (
     RNG_VERSION,
@@ -189,7 +189,7 @@ def sample_hypergeom(v: int, t: int, q: int, rng: CounterRNG) -> int:
         acc += w
         if u < acc:
             return j
-    raise AssertionError("hypergeometric weights did not cover the draw")
+    raise VerificationFailed("hypergeometric weights did not cover the draw")
 
 
 def _choose_uniform_subset(count: int, take: int, rng: CounterRNG) -> list[int]:
@@ -259,7 +259,7 @@ def select_removals(
             cuts.append((cell.day, cell.count, take))
             left -= take
     if left:
-        raise AssertionError("cascade failed to cover the quota despite a large enough cave")
+        raise VerificationFailed("cascade failed to cover the quota despite a large enough cave")
 
     if strategy is StrategyKind.OLDEST_DET:
         cut = instance.fifo_cut(i)
@@ -304,9 +304,10 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
         else:
             raise SpecInvalid(f"plan references day {day} not present in the window")
 
-    by_id = {b.id: b for b in state.tagged}
     for bag_id in plan.removed_tagged:
-        bag = by_id[bag_id]
+        if not 1 <= bag_id <= len(state.tagged):
+            raise SpecInvalid(f"plan removes unknown tagged bag {bag_id}")
+        bag = state.tagged[bag_id - 1]  # ids are 1, 2, ... in creation order
         if not bag.in_cave:
             raise SpecInvalid(f"plan removes tagged bag {bag_id} twice")
         bag.removed_night = plan.night
@@ -407,20 +408,14 @@ def run_trace(
         rng = CounterRNG(stream_key(seed, trial_index, i)) if strategy is StrategyKind.OLDEST_RND else None
         plan = select_removals(state, instance, i, strategy, rng)
         apply_removals(state, plan)
-        by_id = {b.id: b for b in state.tagged}
+        removed = [state.tagged[bag_id - 1] for bag_id in sorted(plan.removed_tagged)]
         record = {
             "i": i,
             "cave_before": decimal_str(cave_before),
             "cave_after": decimal_str(state.cave_size),
             "removed_cells": [[day, decimal_str(count)] for day, count in plan.removed_cells()],
             "tagged_events": [
-                {
-                    "id": bag_id,
-                    "day": by_id[bag_id].day,
-                    "pos": decimal_str(by_id[bag_id].pos),
-                    "night": i,
-                }
-                for bag_id in sorted(plan.removed_tagged)
+                {"id": bag.id, "day": bag.day, "pos": decimal_str(bag.pos), "night": i} for bag in removed
             ],
         }
         records.append(record)
@@ -436,24 +431,6 @@ def run_trace(
     )
 
 
-def _fast_path_probs(instance: GameInstance, d: int, nights: int) -> list[tuple[int, float]] | None:
-    """Per-night removal probabilities for a lone day-d bag, if the closed
-    law applies on the whole prefix: the memory gap never shrinks and the
-    very-old pool always covers the quota (removals never touch the window).
-    """
-    if (
-        instance.first_invalid_index is not None
-        or not instance.restriction1_holds(nights)
-        or instance.window_dips.first(1, nights) is not None
-    ):
-        return None
-    return [
-        (i, float(Fraction(instance.r_at(i), instance.very_old_level(i))))
-        for i in range(d, nights + 1)
-        if d <= i - instance.b_at(i)
-    ]
-
-
 def empirical_survival(
     instance: GameInstance,
     d: int,
@@ -464,12 +441,15 @@ def empirical_survival(
 ) -> tuple[float, float, int]:
     """Monte Carlo estimate of a day-d bag's survival through ``nights``.
 
-    Trial t draws night i from the stream keyed by stream_key(seed, t, i).
-    When the closed per-night law applies (randomized strategy, very-old
-    pool always covering the quota), trials are evaluated vectorized — the
-    counter-based streams make every (trial, night) draw addressable, so
-    the fan-out over trials needs no shared state. Otherwise each trial
-    runs a full trace. Returns (estimate, stderr, trials) with
+    No trial runs the engine; the bag's cells come from ``GameInstance.cell``.
+    ``oldest-det`` is FIFO by arrival rank, so the bag survives in every
+    trial or in none. ``oldest-rnd`` draws night i of trial t from the stream
+    keyed by stream_key(seed, t, i). With no window dip (Ltilde < r) on
+    nights 1..nights, all trials run at once, the bag leaving when the
+    night's 53-bit uniform is below take/count. Otherwise each trial draws
+    ``below(count)`` on each night that takes part of its cell and the bag
+    leaves when the draw is >= count - take: the one draw ``run_trace``
+    makes for a lone tag. Returns (estimate, stderr, trials) with
     stderr = sqrt(p*(1-p)/trials).
     """
     strategy = as_strategy(strategy)
@@ -481,35 +461,27 @@ def empirical_survival(
         return (1.0, 0.0, trials)
     if nights > instance.horizon_cap:
         raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
+    instance.require_playable(nights)
 
-    probs = _fast_path_probs(instance, d, nights) if strategy is StrategyKind.OLDEST_RND else None
-    if probs is not None:
-        root = seed & ((1 << 64) - 1)
-        trial_keys = child_keys_vec(root, np.arange(trials, dtype=np.uint64))
-        alive = np.ones(trials, dtype=bool)
-        for i, p in probs:
-            if p >= 1.0:
-                alive[:] = False
-                break
-            if p <= 0.0 or not alive.any():
-                continue
-            night_keys = child_keys_many(trial_keys, i)
-            u = (words_vec(night_keys, 0) >> np.uint64(11)) * 2.0**-53
-            alive &= u >= p
-        survivors = int(alive.sum())
+    if strategy is StrategyKind.OLDEST_DET:
+        survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0
     else:
-        survivors = 0
-        for t in range(trials):
-            trace = run_trace(
-                instance,
-                strategy,
-                nights,
-                seed,
-                tagged_days=[(d, 1)],
-                trial_index=t,
+        cells = [(i, count, take) for i in range(d, nights + 1) for count, take in [instance.cell(d, i)] if take]
+        if instance.window_dips.first(1, nights) is None:
+            trial_keys = child_keys_vec(seed & ((1 << 64) - 1), np.arange(trials, dtype=np.uint64))
+            alive = np.ones(trials, dtype=bool)
+            for i, count, take in cells:
+                if not alive.any():
+                    break
+                u = (words_vec(child_keys_many(trial_keys, i), 0) >> np.uint64(11)) * 2.0**-53
+                alive &= u >= take / count
+            survivors = int(alive.sum())
+        else:
+            survivors = sum(
+                all(take < count and CounterRNG(stream_key(seed, t, i)).below(count) < count - take
+                    for i, count, take in cells)
+                for t in range(trials)
             )
-            if trace.tagged[0].in_cave:
-                survivors += 1
 
     estimate = survivors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

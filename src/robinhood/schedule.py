@@ -38,7 +38,9 @@ from typing import Any, Mapping
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
     IndexBeyondHorizon,
+    RestrictionViolated,
     SpecInvalid,
+    budget_bits,
     guard_digits,
 )
 
@@ -429,6 +431,7 @@ class GameInstance:
         sum_r: list[int] = [0] * (cap + 1)
         first_invalid: int | None = None
 
+        limit = budget_bits(digit_budget)
         acc_s = 0
         acc_r = 0
         for i in range(1, cap + 1):
@@ -443,8 +446,9 @@ class GameInstance:
             b_vals[i] = min(bi_raw, i) if bi_raw >= 0 else 0
             acc_s += si
             acc_r += ri
-            guard_digits(acc_s, digit_budget, context=f"sum of arrivals through day {i}")
-            guard_digits(acc_r, digit_budget, context=f"sum of removals through night {i}")
+            if max(acc_s, acc_r).bit_length() > limit:
+                guard_digits(acc_s, digit_budget, context=f"sum of arrivals through day {i}")
+                guard_digits(acc_r, digit_budget, context=f"sum of removals through night {i}")
             sum_s[i] = acc_s
             sum_r[i] = acc_r
 
@@ -504,6 +508,17 @@ class GameInstance:
         first = self.restriction1_first_violation
         return first is None or first >= upto
 
+    def require_playable(self, n: int) -> None:
+        """Raise what the engine raises on nights 1..n: RestrictionViolated for a
+        memory break before the first invalid day, else SpecInvalid for an invalid day."""
+        if not self.restriction1_holds(self.valid_end(n)):
+            i = self.restriction1_first_violation
+            raise RestrictionViolated(
+                f"memory bound grows too fast at night {i}: b({i + 1}) > b({i}) + 1"
+                " would re-admit forgotten days"
+            )
+        self.require_valid(n)
+
     def r_at(self, i: int) -> int:
         self._check_index(i, 1)
         return self._r[i]
@@ -547,6 +562,25 @@ class GameInstance:
         # the removals through night i, so the search can stop at day i.
         d = bisect_right(self._sum_s, removed, 0, i + 1)
         return d, removed - self._sum_s[d - 1]
+
+    def cell(self, d: int, i: int) -> tuple[int, int]:
+        """(count, take): the size of the cell holding a day-d bag as night i
+        begins (the very-old pool when d <= i - b(i), else day d's cell) and
+        how many of it night i removes. Under restriction 1 oldest-first
+        removal is FIFO over cells: after night j, max(0, S(x) - R(j)) bags
+        are left from days <= x for every x at or past night j's cutoff.
+        """
+        if not 1 <= d <= i <= self.horizon_cap:
+            raise IndexBeyondHorizon(f"cell of day {d} on night {i} outside 1 <= d <= i <= {self.horizon_cap}")
+        self.require_playable(i)
+        sum_s, sum_r = self._sum_s, self._sum_r
+        cutoff = i - self._b[i]
+        if d <= cutoff:
+            count = max(0, sum_s[cutoff] - sum_r[i - 1])
+            return count, min(self._r[i], count)
+        s = self._s[d]
+        count = min(s, max(0, sum_s[d] - sum_r[i - 1]))
+        return count, count - min(s, max(0, sum_s[d] - sum_r[i]))
 
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""

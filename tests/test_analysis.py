@@ -172,16 +172,21 @@ def test_exact_mode_tolerates_exact_cover_but_paper_mode_does_not() -> None:
         survival_probability(inst, 2, 10, mode=MODE_PAPER)
 
 
-def test_exact_mode_scans_from_night_one() -> None:
-    # The strict dip sits at i = 2, before the bag's own day; the exact law
-    # still refuses because the dip distorts the pool later factors divide by.
+def test_exact_mode_multiplies_cells_through_window_dips() -> None:
+    # The strict dip sits at i = 2: the pool holds 1 bag against r(2) = 2,
+    # so night 2 also takes 1 of day 2's 4 bags. A day-5 bag is very old
+    # from night 6, when the pool holds 33 - 9 = 24 bags and grows by 9 - 2
+    # per night.
     r_spec = FunctionSpec.table([1, 2], FunctionSpec.constant(2))
     s_spec = FunctionSpec.table([2, 4, 9], FunctionSpec.constant(9))
     b_spec = FunctionSpec.table([0], FunctionSpec.constant(1))
     inst = make_instance(r_spec, s_spec, b_spec, horizon_cap=30)
     assert inst.very_old_level(2) < inst.r_at(2)
-    with pytest.raises(RestrictionViolated):
-        survival_probability(inst, 5, 10, mode=MODE_EXACT)
+    assert inst.cell(2, 2) == (4, 1) and inst.cell(2, 3) == (3, 2)
+    assert [inst.cell(5, i) for i in range(5, 11)] == [(9, 0)] + [(24 + 7 * k, 2) for k in range(5)]
+    expected = math.prod(Fraction(22 + 7 * k, 24 + 7 * k) for k in range(5))
+    assert survival_probability(inst, 5, 10, mode=MODE_EXACT).value == expected
+    assert survival_probability(inst, 2, 3, mode=MODE_EXACT).value == Fraction(3, 4) * Fraction(1, 3)
 
 
 def test_exact_mode_requires_nondecreasing_memory_gap() -> None:

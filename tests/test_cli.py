@@ -83,6 +83,24 @@ def test_survival_log_space(sched, capsys) -> None:
     assert math.exp(result["log_value"]) == pytest.approx(result["value"], rel=1e-12)
 
 
+def test_exact_cover_gives_zero_survival_in_log_space(tmp_path, capsys) -> None:
+    # Ltilde(2) = r(2) = 1: night 2 takes the whole very-old pool, and the
+    # day-1 bag with it, so the log-space value is 0 with log -inf.
+    path = tmp_path / "cover.json"
+    table = {"kind": "table", "values": [2, 2, 2, 9], "tail": {"kind": "constant", "value": 9}}
+    b = {"kind": "table", "values": [0], "tail": {"kind": "constant", "value": 1}}
+    path.write_text(json.dumps({"r": {"kind": "constant", "value": 1}, "s": table, "b": b}), encoding="utf-8")
+    argv = ["--day", "1", "--horizon", "10", "--mode", "exact", "--space", "log"]
+    code, out = run(capsys, "survival", str(path), *argv)
+    assert code == 0
+    assert '"value":0.0' in out and json.loads(out)["log_value"] == "-inf"
+    # Past 2000 nights compare reads the analytic value in log space.
+    code, out = run(capsys, "compare", str(path), "--day", "1", "--nights", "2500", "--trials", "100")
+    assert code == 0
+    result = json.loads(out)
+    assert result["analytic"] == result["empirical"] == 0.0 and result["z"] == 0.0
+
+
 def test_simulate_streams_jsonl_trace(sched, capsys) -> None:
     code, out = run(
         capsys, "simulate", sched, "--nights", "5", "--strategy", "oldest-det", "--tag-day", "2"

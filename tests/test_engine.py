@@ -23,11 +23,7 @@ from robinhood import (
     step_day,
     survival_probability,
 )
-from robinhood.engine import (
-    _fast_path_probs,
-    hypergeom_weights,
-    sample_hypergeom,
-)
+from robinhood.engine import hypergeom_weights, sample_hypergeom
 from robinhood.rng import CounterRNG, stream_key, u01_from_word, word
 
 from .conftest import make_instance
@@ -374,15 +370,20 @@ def test_trace_record_counts_match_levels(memoryless_121) -> None:
 # ------------------------------------------------------------- Monte Carlo
 
 
-def test_fast_path_probabilities(memoryless_121) -> None:
-    probs = _fast_path_probs(memoryless_121, 3, 10)
-    assert probs == [(i, 1.0 / (i + 1)) for i in range(3, 11)]
+def test_cell_of_a_very_old_bag_is_the_pool(memoryless_121) -> None:
+    # b = 0: the bag is very old from its own night, and the pool of
+    # Ltilde(i) = i + 1 bags loses r(i) = 1; the vectorized draw uses 1/(i+1).
+    cells = [memoryless_121.cell(3, i) for i in range(3, 11)]
+    assert cells == [(i + 1, 1) for i in range(3, 11)]
+    assert [take / count for count, take in cells] == [1.0 / (i + 1) for i in range(3, 11)]
 
 
-def test_fast_path_declines_on_window_dips() -> None:
-    # Full-memory schedule: the pool is always empty, never covers r.
+def test_cell_on_window_dips_is_the_bags_own_day() -> None:
+    # Full-memory schedule: the pool is always empty, so removals reach day
+    # 1's own cell of 2 bags: one leaves on night 1 and the last on night 2.
     inst = make_instance(1, 2, FunctionSpec.affine(1, 0), horizon_cap=10)
-    assert _fast_path_probs(inst, 1, 10) is None
+    assert inst.window_dips.first(1, 10) == 1
+    assert [inst.cell(1, i) for i in range(1, 5)] == [(2, 1), (1, 1), (0, 0), (0, 0)]
 
 
 def test_fast_path_matches_scalar_streams(memoryless_121) -> None:
@@ -410,9 +411,9 @@ def test_empirical_survival_agrees_with_exact(memoryless_121) -> None:
 
 
 def test_trace_machinery_reproduces_the_closed_product_law() -> None:
-    # Drive the full per-trial trace machinery (what the Monte Carlo
-    # fallback runs) on a positive-memory schedule and compare against the
-    # exact product the closed law predicts for it.
+    # Drive the full per-trial trace machinery on a positive-memory
+    # schedule and compare against the exact product the closed law
+    # predicts for it.
     b_spec = FunctionSpec.table([0], FunctionSpec.constant(1))
     inst = make_instance(1, 3, b_spec, horizon_cap=25)
     exact = float(survival_probability(inst, 2, 25, mode="exact_strategy").value)
