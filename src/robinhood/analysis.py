@@ -65,6 +65,45 @@ def fraction_str(value: Fraction) -> str:
     return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
 
 
+class RunningSum:
+    """Running exactly rounded float sum: ``value`` is ``math.fsum`` of the terms so far.
+
+    Keeps Shewchuk's non-overlapping partials (Shewchuk 1997, *Adaptive
+    Precision Floating-Point Arithmetic*), the state ``math.fsum`` builds
+    internally, so each ``add`` costs the length of that short list instead
+    of a new pass over every term. Both ``math.fsum(partials)`` and
+    ``math.fsum(terms)`` are the correctly rounded exact sum, so every value
+    is bit-identical to ``math.fsum`` of the prefix.
+    """
+
+    __slots__ = ("_partials", "value")
+
+    def __init__(self) -> None:
+        self._partials: list[float] = []
+        self.value = 0.0
+
+    def add(self, x: float) -> None:
+        """Add a finite term or -inf; after -inf the value stays -inf, as fsum's does."""
+        if x == -math.inf or self.value == -math.inf:
+            self.value = -math.inf
+            return
+        partials = self._partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if not math.isfinite(x):
+            raise OverflowError("intermediate overflow in fsum")
+        partials[i:] = [x]
+        self.value = math.fsum(partials)
+
+
 def series_term(instance: GameInstance, i: int) -> Fraction:
     """Exact reduced r(i)/Ltilde(i); TermUndefined when Ltilde(i) = 0."""
     ltilde = instance.very_old_level(i)
@@ -165,16 +204,21 @@ def survival_curve(
             emit(i, acc, None)
         return results
 
-    log_terms: list[float] = []
-    log_value = 0.0
-    emit(d - 1, 1.0, log_value)
+    log_sum = RunningSum()
+    emit(d - 1, 1.0, log_sum.value)
     for i in range(d, horizon + 1):
         count, take = cell(i)
         if take:
-            # take == count removes the bag for sure: log -inf, value 0.
-            log_terms.append(math.log1p(-(take / count)) if take < count else -math.inf)
-            log_value = math.fsum(log_terms)
-        emit(i, math.exp(log_value), log_value)
+            p = take / count
+            if p < 1.0:
+                log_sum.add(math.log1p(-p))
+            elif take < count:
+                # p rounded up to 1.0: count - take is tiny beside count.
+                log_sum.add(math.log(count - take) - math.log(count))
+            else:
+                # The bag leaves for sure: log -inf, value 0.
+                log_sum.add(-math.inf)
+        emit(i, math.exp(log_sum.value), log_sum.value)
     return results
 
 
@@ -221,7 +265,7 @@ def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostic
         )
     floats: list[float] = []
     points: list[tuple[int, float]] = []
-    last_term: Fraction | None = None
+    last: tuple[int, int] | None = None
     first_undefined: int | None = None
     for i in range(1, horizon + 1):
         ltilde = instance.very_old_level(i)
@@ -229,9 +273,10 @@ def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostic
             if first_undefined is None:
                 first_undefined = i
             continue
-        term = Fraction(instance.r_at(i), ltilde)
-        last_term = term
-        value = float(term)
+        r = instance.r_at(i)
+        last = (r, ltilde)
+        # Int true division is correctly rounded: float(Fraction(r, ltilde)).
+        value = r / ltilde
         floats.append(value)
         if value > 0.0:
             points.append((i, value))
@@ -254,7 +299,7 @@ def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostic
     return SeriesDiagnostics(
         horizon=horizon,
         partial_sum=math.fsum(floats),
-        last_term=last_term,
+        last_term=Fraction(*last) if last is not None else None,
         term_decay_exponent_estimate=slope,
         first_undefined_index=first_undefined,
     )

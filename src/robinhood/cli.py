@@ -27,6 +27,7 @@ from .analysis import (
     MODE_PAPER,
     SPACE_LOG,
     SPACE_RATIONAL,
+    RunningSum,
     classify,
     fraction_str,
     survival_probability,
@@ -113,14 +114,14 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     end = instance.valid_end(horizon)
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
-    running: list[float] = []
+    partial_sum = RunningSum()
     for i in range(1, end + 1):
         r, s, b = instance.evaluate(i)
         level = instance.cave_level(i)
         ltilde = instance.very_old_level(i)
         if ltilde > 0:
             term = Fraction(r, ltilde)
-            running.append(float(term))
+            partial_sum.add(float(term))
             term_text = fraction_str(term)
         else:
             term_text = ""
@@ -133,7 +134,7 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
                 decimal_str(level),
                 decimal_str(ltilde),
                 term_text,
-                repr(math.fsum(running)),
+                repr(partial_sum.value),
             ]
         )
 

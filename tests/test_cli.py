@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,43 @@ def test_exact_cover_gives_zero_survival_in_log_space(tmp_path, capsys) -> None:
     assert code == 0
     result = json.loads(out)
     assert result["analytic"] == result["empirical"] == 0.0 and result["z"] == 0.0
+
+
+def _log_of(value) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+@pytest.mark.parametrize("digits", [20, 400])
+def test_log_space_takes_all_but_two_bags_of_a_huge_cell(tmp_path, capsys, digits) -> None:
+    # Ltilde(2) = 10^k + 1 and r(2) = 10^k - 1: take/count rounds to 1.0
+    # although two bags stay, so log1p(-take/count) would be log(0).
+    big = 10**digits
+    path = tmp_path / "huge.json"
+    obj = {
+        "r": {"kind": "table", "values": [1, big - 1], "tail": {"kind": "constant", "value": 1}},
+        "s": {"kind": "table", "values": [2, big], "tail": {"kind": "constant", "value": 2}},
+        "b": {"kind": "constant", "value": 0},
+    }
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    inst = GameInstance(load_schedule(str(path)), horizon_cap=2500)
+
+    code, out = run(capsys, "survival", str(path), "--day", "1", "--horizon", "3", "--space", "log")
+    assert code == 0
+    exact = survival_probability(inst, 1, 3).value
+    assert exact == Fraction(3, 4 * big + 4)
+    assert json.loads(out)["log_value"] == pytest.approx(_log_of(exact), rel=1e-12)
+
+    exact = survival_probability(inst, 1, 2500, mode="exact_strategy").value
+    log_result = survival_probability(inst, 1, 2500, mode="exact_strategy", space="log")
+    assert log_result.log_value == pytest.approx(_log_of(exact), rel=1e-12)
+    code, out = run(capsys, "compare", str(path), "--day", "1", "--nights", "2500", "--trials", "10")
+    result = json.loads(out)
+    assert result["analytic"] == math.exp(log_result.log_value)
+    if digits == 400:
+        # exp underflows to 0.0, which no trial's survival can contradict.
+        assert code == 0 and result["analytic"] == result["empirical"] == 0.0
+    # At 10^20 the exit code is the gate's: no trial survives a chance near
+    # 1e-23, so the empirical stderr is 0 and z is inf (a known gate defect).
 
 
 def test_simulate_streams_jsonl_trace(sched, capsys) -> None:
