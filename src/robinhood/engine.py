@@ -15,6 +15,10 @@ Bag ``pos`` of day d has arrival rank s(1) + ... + s(d-1) + pos, so the
 deterministic variant is FIFO over all arrivals, and the tagged bags it
 removes are read from the instance's prefix sums (``GameInstance.fifo_cut``).
 
+The state keeps per-cell lists of in-cave tagged bags and the oldest one's
+index, so a night reads only the tags of the cells its quota touches, and
+``oldest-det`` only the tags it removes.
+
 Randomness is addressable: the draw stream for night i of trial t under
 master seed S has key ``stream_key(S, t, i)`` (stream 0 is reserved for bag
 labels), which makes traces reproducible and lets the vectorized Monte
@@ -24,7 +28,9 @@ Carlo path evaluate any (trial, night) cell independently.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,15 +88,6 @@ class TaggedBag:
     def in_cave(self) -> bool:
         return self.removed_night is None
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "day": self.day,
-            "pos": decimal_str(self.pos),
-            "removed_night": self.removed_night,
-            "label": self.label,
-        }
-
 
 @dataclass
 class WindowCell:
@@ -105,7 +102,10 @@ class CaveState:
     """Mutable game state owned by a single run.
 
     ``night`` is the last completed night; ``merge_cutoff`` is the largest
-    arrival day already merged into the very-old pool.
+    arrival day already merged into the very-old pool. ``tagged`` is in id
+    order, which is (day, pos) order; ``tag_front`` indexes its oldest
+    in-cave bag. ``cell_tags`` maps a cell key (a remembered day, or
+    ``VERY_OLD_KEY``) to its in-cave tagged ids in id order, if any.
     """
 
     night: int = 0
@@ -114,6 +114,8 @@ class CaveState:
     merge_cutoff: int = 0
     cells: deque[WindowCell] = field(default_factory=deque)
     tagged: list[TaggedBag] = field(default_factory=list)
+    cell_tags: dict[int, list[int]] = field(default_factory=dict)
+    tag_front: int = 0
     pending_tags: dict[int, list[int]] = field(default_factory=dict)
     next_tag_id: int = 1
 
@@ -138,10 +140,11 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
     state.cells.append(WindowCell(day=i, count=s_i))
     state.cave_size += s_i
 
-    for pos in state.pending_tags.pop(i, ()):  # created in position order
+    for pos in sorted(state.pending_tags.pop(i, ())):  # ids in position order
         if not (1 <= pos <= s_i):
             raise SpecInvalid(f"tag position {pos} outside day {i}'s batch of size {s_i}")
         state.tagged.append(TaggedBag(id=state.next_tag_id, day=i, pos=pos))
+        state.cell_tags.setdefault(i, []).append(state.next_tag_id)
         state.next_tag_id += 1
 
     cutoff = i - b_i
@@ -151,7 +154,10 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
             f" (cutoff {cutoff} < previously merged {state.merge_cutoff})"
         )
     while state.cells and state.cells[0].day <= cutoff:
-        state.very_old_count += state.cells.popleft().count
+        cell = state.cells.popleft()
+        state.very_old_count += cell.count
+        if cell.day in state.cell_tags:  # pool days are older: id order holds
+            state.cell_tags.setdefault(VERY_OLD_KEY, []).extend(state.cell_tags.pop(cell.day))
     state.merge_cutoff = cutoff
     return state
 
@@ -165,14 +171,26 @@ def hypergeom_weights(v: int, t: int, q: int) -> tuple[list[int], int]:
         weights[j] = C(t, j) * perm(q, j) * perm(v - q, t - j)
         total      = perm(v, t)
 
-    Only t + 1 short products of big integers — no factorials of v — so the
-    law stays exact for astronomically large cells.
+    weights[j] is 0 below j0 = max(0, t - (v - q)) and above min(t, q).
+    In between, one product gives weights[j0] and the ratio of consecutive
+    terms gives the rest::
+
+        weights[j + 1] = weights[j] * (t - j) * (q - j) // ((j + 1) * (v - q - t + j + 1))
+
+    where the division is exact. That is O(t) operations on big integers,
+    with no factorials of v, so the law stays exact for astronomically
+    large cells.
     """
     if not (0 <= t <= v and 0 <= q <= v):
         raise ValueError(f"invalid hypergeometric parameters v={v} t={t} q={q}")
-    weights = [
-        math.comb(t, j) * math.perm(q, j) * math.perm(v - q, t - j) for j in range(t + 1)
-    ]
+    weights = [0] * (t + 1)
+    rest = v - q
+    j0 = max(0, t - rest)
+    w = math.comb(t, j0) * math.perm(q, j0) * math.perm(rest, t - j0)
+    for j in range(j0, min(t, q)):
+        weights[j] = w
+        w = w * (t - j) * (q - j) // ((j + 1) * (rest - t + j + 1))
+    weights[min(t, q)] = w
     return weights, math.perm(v, t)
 
 
@@ -261,22 +279,23 @@ def select_removals(
     if left:
         raise VerificationFailed("cascade failed to cover the quota despite a large enough cave")
 
+    removed_tagged = []
     if strategy is StrategyKind.OLDEST_DET:
+        # tagged is in (day, pos) order, so FIFO reaches a run from the front.
         cut = instance.fifo_cut(i)
-        removed_tagged = [b.id for b in state.tagged if b.removed_night is None and (b.day, b.pos) <= cut]
+        for k in range(state.tag_front, len(state.tagged)):
+            b = state.tagged[k]
+            if (b.day, b.pos) > cut:
+                break
+            if b.removed_night is None:
+                removed_tagged.append(b.id)
     else:
-        tags_of: dict[int, list[TaggedBag]] = {}
-        for b in state.tagged:
-            if b.in_cave:
-                key = VERY_OLD_KEY if b.day <= state.merge_cutoff else b.day
-                tags_of.setdefault(key, []).append(b)
         # Whole cells draw nothing: sample_hypergeom and the subset choice
         # are forced when the take is the whole count.
-        removed_tagged = []
         for key, count, take in cuts:
-            tags = tags_of.get(key, [])
+            tags = state.cell_tags.get(key, ())
             j = sample_hypergeom(count, len(tags), take, rng)
-            removed_tagged.extend(tags[k].id for k in _choose_uniform_subset(len(tags), j, rng))
+            removed_tagged.extend(tags[k] for k in _choose_uniform_subset(len(tags), j, rng))
 
     return RemovalPlan(
         night=i,
@@ -311,6 +330,13 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
         if not bag.in_cave:
             raise SpecInvalid(f"plan removes tagged bag {bag_id} twice")
         bag.removed_night = plan.night
+        key = VERY_OLD_KEY if bag.day <= state.merge_cutoff else bag.day
+        ids = state.cell_tags[key]
+        del ids[bisect_left(ids, bag_id)]
+        if not ids:
+            del state.cell_tags[key]
+    while state.tag_front < len(state.tagged) and state.tagged[state.tag_front].removed_night is not None:
+        state.tag_front += 1
 
     state.cave_size -= plan.quota
     state.night = plan.night
@@ -319,19 +345,20 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
 
 @dataclass
 class Trace:
-    """Full record of one simulated run plus its content digest."""
+    """One simulated run: the hashed lines (header, one per night) and digest."""
 
     header: dict[str, Any]
-    records: list[dict[str, Any]]
+    lines: list[str]
     tagged: list[TaggedBag]
     digest: str
     final_state: CaveState
 
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        return [json.loads(line) for line in self.lines[1:]]
+
     def to_jsonl(self) -> str:
-        lines = [canonical_dumps(self.header)]
-        lines.extend(canonical_dumps(rec) for rec in self.records)
-        lines.append(canonical_dumps({"digest": self.digest}))
-        return "\n".join(lines) + "\n"
+        return "\n".join([*self.lines, canonical_dumps({"digest": self.digest}), ""])
 
 
 def _normalize_tags(tagged_days: Iterable[int | tuple[int, int]]) -> dict[int, list[int]]:
@@ -392,11 +419,11 @@ def run_trace(
         "schedule": instance.spec.to_obj(),
         "tags": sorted([day, str(pos)] for day, ps in pending.items() for pos in ps),
     }
+    lines = [canonical_dumps(header)]
     hasher = hashlib.sha256()
-    hasher.update(canonical_dumps(header).encode("ascii"))
+    hasher.update(lines[0].encode("ascii"))
     hasher.update(b"\n")
 
-    records: list[dict[str, Any]] = []
     labeled_through = 0
     for i in range(1, nights + 1):
         step_day(state, instance, i)
@@ -418,13 +445,14 @@ def run_trace(
                 {"id": bag.id, "day": bag.day, "pos": decimal_str(bag.pos), "night": i} for bag in removed
             ],
         }
-        records.append(record)
-        hasher.update(canonical_dumps(record).encode("ascii"))
+        line = canonical_dumps(record)
+        lines.append(line)
+        hasher.update(line.encode("ascii"))
         hasher.update(b"\n")
 
     return Trace(
         header=header,
-        records=records,
+        lines=lines,
         tagged=list(state.tagged),
         digest=hasher.hexdigest(),
         final_state=state,

@@ -54,9 +54,12 @@ def decimal_str(n: int) -> str:
     """``str(n)`` with the interpreter's int-to-str digit cap lifted.
 
     Generated schedules carry values far past the default 4300-digit cap,
-    so serialization must not depend on it. Not thread-safe (the cap is
-    process-global while lifted), which is fine for this package's usage.
+    so serialization must not depend on it. Small values convert directly;
+    larger ones lift the cap, which is process-global, so that path is not
+    thread-safe. That is fine for this package's usage.
     """
+    if abs(n).bit_length() <= 2000:  # at most 603 digits; no cap is below 640
+        return str(n)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -66,7 +69,9 @@ def decimal_str(n: int) -> str:
 
 
 def parse_decimal(text: str) -> int:
-    """``int(text, 10)`` with the str-to-int digit cap lifted."""
+    """``int(text, 10)`` with the str-to-int digit cap lifted for long text."""
+    if len(text) <= 640:  # the lowest cap Python allows
+        return int(text, 10)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -284,9 +289,12 @@ def parse_schedule(obj: Any) -> ScheduleSpec:
     )
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, no insignificant whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def load_schedule(path: str) -> ScheduleSpec:

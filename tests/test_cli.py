@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinhood import GameInstance, classify, load_schedule, survival_probability
 from robinhood.cli import DEFAULT_SEED, dispatch
@@ -163,6 +166,51 @@ def test_simulate_out_file_reports_matching_digest(sched, tmp_path, capsys) -> N
     assert summary["seed"] == 99
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert json.loads(lines[-1])["digest"] == summary["digest"]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--strategy", "oldest-det", "--tag-day", "2", "--tag-day", "5"],
+        ["--strategy", "oldest-rnd", "--tag-day", "1", "--tag-day", "3", "--tag-day", "4"],
+        ["--strategy", "oldest-rnd", "--tag-day", "2", "--tag-day", "6", "--label-mode", "random-unit"],
+    ],
+    ids=["det", "rnd", "rnd-random-unit"],
+)
+def test_simulate_out_file_holds_the_printed_trace(tmp_path, capsys, options) -> None:
+    path = write_schedule(tmp_path / "sched.json", r=1, s=3, b=2)
+    argv = ["simulate", path, "--nights", "40", "--seed", "8", *options]
+    code, printed = run(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "trace.jsonl"
+    code, out = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    data = out_path.read_bytes()
+    assert data == printed.encode("ascii") and data.endswith(b"}\n")
+    body, _, last = data[:-1].rpartition(b"\n")
+    digest = hashlib.sha256(body + b"\n").hexdigest()
+    assert json.loads(last) == {"digest": digest}
+    assert json.loads(out)["digest"] == digest
+    assert len(body.split(b"\n")) == 1 + 40
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_canonical_dumps_is_sorted_compact_json(value) -> None:
+    assert canonical_dumps(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def test_canonical_dumps_rejects_nan() -> None:
+    for bad in (math.nan, {"x": [math.inf]}):
+        with pytest.raises(ValueError):
+            canonical_dumps(bad)
 
 
 def test_simulate_trials_estimates_survival(sched, capsys) -> None:

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+import math
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinhood import (
     CaveState,
     FunctionSpec,
+    GameInstance,
     RestrictionViolated,
+    ScheduleSpec,
     ScheduleExhausted,
     SpecInvalid,
     StrategyKind,
@@ -23,7 +30,7 @@ from robinhood import (
     step_day,
     survival_probability,
 )
-from robinhood.engine import hypergeom_weights, sample_hypergeom
+from robinhood.engine import VERY_OLD_KEY, _choose_uniform_subset, hypergeom_weights, sample_hypergeom
 from robinhood.rng import CounterRNG, stream_key, u01_from_word, word
 
 from .conftest import make_instance
@@ -267,6 +274,64 @@ def test_hypergeom_weights_handle_astronomical_populations() -> None:
     assert sum(weights) == total
 
 
+def product_weights(v: int, t: int, q: int) -> list[int]:
+    """The per-j product formula, one independent product per weight."""
+    return [math.comb(t, j) * math.perm(q, j) * math.perm(v - q, t - j) for j in range(t + 1)]
+
+
+@st.composite
+def hypergeom_params(draw) -> tuple[int, int, int]:
+    """(v, t, q) with leading zero weights (t > v - q), trailing zeros
+    (q < t), whole and empty draws, up to 300 tags or 400-digit cells."""
+    huge = draw(st.booleans())
+    v = draw(st.integers(0, 10**400) if huge else st.integers(0, 10**4))
+    t = draw(st.integers(0, min(v, 40 if huge else 300)))
+    q = draw(st.one_of(
+        st.sampled_from([0, v]),
+        st.integers(0, v),
+        st.integers(0, t),
+        st.integers(0, t).map(lambda k: v - k),
+    ))
+    return v, t, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergeom_params())
+def test_hypergeom_recurrence_equals_the_product_formula(params) -> None:
+    v, t, q = params
+    weights, total = hypergeom_weights(v, t, q)
+    assert weights == product_weights(v, t, q)
+    assert total == math.perm(v, t) == sum(weights)
+
+
+def test_hypergeom_recurrence_at_300_tags_in_a_400_digit_cell() -> None:
+    # The full product formula costs seconds here; check its value at the
+    # ends of the support and in the middle, and the sum of all weights.
+    v = 10**400 + 7
+    for q in (v // 3, v - 150, 120):
+        weights, total = hypergeom_weights(v, 300, q)
+        j0, j1 = max(0, 300 - (v - q)), min(300, q)
+        assert all(w == 0 for w in weights[:j0] + weights[j1 + 1:])
+        for j in {j0, j0 + 1, (j0 + j1) // 2, j1}:
+            assert weights[j] == math.comb(300, j) * math.perm(q, j) * math.perm(v - q, 300 - j)
+        assert sum(weights) == total
+
+
+def test_hypergeom_weights_make_a_bounded_number_of_big_products(monkeypatch) -> None:
+    # The per-j product formula made 2t + 3 perm/comb calls (603 at t = 300).
+    calls = Counter()
+    for name in ("perm", "comb"):
+        def counted(*args, _orig=getattr(math, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(math, name, counted)
+    v = 10**400
+    for q in (0, 7, v // 3, v - 150, v):
+        calls.clear()
+        hypergeom_weights(v, 300, q)
+        assert sum(calls.values()) <= 4, (q, calls)
+
+
 def test_sample_hypergeom_is_exact_for_forced_cases() -> None:
     rng = CounterRNG(0)
     assert sample_hypergeom(5, 0, 3, rng) == 0
@@ -356,6 +421,111 @@ def test_trace_rejects_bad_tags(memoryless_121) -> None:
         run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[(1, 0)])
     with pytest.raises(SpecInvalid):
         run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[(1, 3)])  # s(1) = 2
+
+
+_R1S3B2 = make_instance(1, 3, 2, horizon_cap=2000)
+_BIG_DAY_10 = make_instance(1, FunctionSpec.table([3] * 9 + [2000], FunctionSpec.constant(3)), 1, horizon_cap=400)
+_BIG_DAY_10_TAGS = [(10, p) for p in range(1, 2001, 13)]
+
+
+@pytest.mark.parametrize(
+    "instance, strategy, nights, seed, tags, digest",
+    [
+        (_R1S3B2, RND, 2000, 5, [(d, 1) for d in range(1, 301)],
+         "db3c51d718034015243c629618b4bee22fc403aa09a2ca374d1ffb2da7260430"),
+        (_R1S3B2, DET, 2000, 5, [(d, 1) for d in range(1, 1001)],
+         "be7cd706f5975e63eef6252806fca1e71da0b95ae7d12df94ae8dc7418621881"),
+        (_BIG_DAY_10, RND, 400, 11, _BIG_DAY_10_TAGS,
+         "943efb627eaa2129d4518462c65ca58f96980df5c232d11d1ff69d584d334b08"),
+        (_BIG_DAY_10, DET, 400, 11, _BIG_DAY_10_TAGS,
+         "8546a8a3b9229b8b36af1094323e7b9bd1a67f7ea6da1c1c25d3148b569b9fef"),
+    ],
+    ids=["rnd-300-tags", "det-1000-tags", "rnd-154-in-one-cell", "det-154-in-one-cell"],
+)
+def test_many_tag_trace_digests_are_pinned(instance, strategy, nights, seed, tags, digest) -> None:
+    assert run_trace(instance, strategy, nights, seed, tagged_days=tags).digest == digest
+
+
+def test_thousand_tag_randomized_trace_is_pinned_and_fast() -> None:
+    # The nightly rescan and the per-j hypergeometric products made this
+    # trace take about 12 s; it now takes a fraction of a second.
+    start = time.perf_counter()
+    trace = run_trace(_R1S3B2, RND, 2000, 5, tagged_days=[(d, 1) for d in range(1, 1001)])
+    elapsed = time.perf_counter() - start
+    assert trace.digest == "14e6149e1f9eb9f20329b3cba1612f6cb23823983577e7c7aa11dbbcf71b4049"
+    assert elapsed < 5.0
+
+
+def rescan_cell_tags(state: CaveState) -> dict[int, list[int]]:
+    """Every in-cave tagged id by cell key, rebuilt from ``state.tagged``."""
+    tags_of: dict[int, list[int]] = {}
+    for b in state.tagged:
+        if b.in_cave:
+            key = VERY_OLD_KEY if b.day <= state.merge_cutoff else b.day
+            tags_of.setdefault(key, []).append(b.id)
+    return tags_of
+
+
+def rescan_randomized_removals(state: CaveState, plan, rng: CounterRNG) -> list[int]:
+    """The boundary draws of ``oldest-rnd`` from a rescan and product weights."""
+    counts = {VERY_OLD_KEY: state.very_old_count, **dict(state.window_counts())}
+    tags_of = rescan_cell_tags(state)
+    removed = []
+    for key, take in plan.removed_cells():
+        tags = tags_of.get(key, [])
+        v, t = counts[key], len(tags)
+        j = t if take == v else 0
+        if t and 0 < take < v:
+            u, acc = rng.below(math.perm(v, t)), 0
+            for j, w in enumerate(product_weights(v, t, take)):
+                acc += w
+                if u < acc:
+                    break
+        removed.extend(tags[k] for k in _choose_uniform_subset(t, j, rng))
+    return removed
+
+
+@st.composite
+def tagged_runs(draw):
+    """Restriction-1 schedules with memory >= 1 (growing by one a night
+    drains the pool and dips into the window) and distinct tags."""
+    cap = draw(st.integers(1, 25))
+    s = draw(st.lists(st.integers(2, 9), min_size=cap, max_size=cap))
+    r = [draw(st.integers(1, x - 1)) for x in s]
+    b = [1]
+    for _ in range(cap - 1):
+        b.append(max(1, b[-1] + draw(st.sampled_from([1, 1, 1, 0, -1, -3]))))
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r, FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table(s, FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.table(b, FunctionSpec.constant(1)),
+    )
+    # Positions in any order: step_day numbers them in position order.
+    tags = {d: draw(st.lists(st.integers(1, s[d - 1]), unique=True)) for d in range(1, cap + 1)}
+    return GameInstance(spec, horizon_cap=cap), tags, draw(st.sampled_from([DET, RND])), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_runs())
+def test_cell_tag_lists_and_fifo_front_equal_a_rescan(run) -> None:
+    inst, tags, strategy, seed = run
+    state = CaveState(pending_tags={d: list(ps) for d, ps in tags.items() if ps})
+    for i in range(1, inst.horizon_cap + 1):
+        step_day(state, inst, i)
+        assert state.cell_tags == rescan_cell_tags(state)
+        # The former oldest-det comprehension, on this state whatever
+        # strategy brought it here.
+        cut = inst.fifo_cut(i)
+        det = [b.id for b in state.tagged if b.removed_night is None and (b.day, b.pos) <= cut]
+        assert select_removals(state, inst, i, DET).removed_tagged == det
+        rng = night_rng(seed, i) if strategy is RND else None
+        plan = select_removals(state, inst, i, strategy, rng)
+        if strategy is RND:
+            assert plan.removed_tagged == rescan_randomized_removals(state, plan, night_rng(seed, i))
+        apply_removals(state, plan)
+        assert state.cell_tags == rescan_cell_tags(state)
+        in_cave = [k for k, b in enumerate(state.tagged) if b.in_cave]
+        assert state.tag_front == (in_cave[0] if in_cave else len(state.tagged))
 
 
 def test_trace_record_counts_match_levels(memoryless_121) -> None:

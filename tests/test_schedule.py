@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,32 @@ def test_decimal_str_and_parse_decimal_are_inverse_beyond_the_cap() -> None:
     text = decimal_str(n)
     assert len(text) == 5001
     assert parse_decimal(text) == n
+
+
+@pytest.fixture()
+def lowest_digit_cap():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest cap Python allows
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_decimal_conversions_work_under_the_lowest_cap_and_restore_it(lowest_digit_cap) -> None:
+    # 639 and 641 digits sit on either side of the cap; 10**640 has 2127 bits.
+    for n, digits in ((10**638 + 1, 639), (-(10**638 + 1), 639), (10**640, 641), (10**100_000 - 3, 100_000)):
+        text = decimal_str(n)
+        assert len(text.lstrip("-")) == digits
+        assert parse_decimal(text) == n
+        assert sys.get_int_max_str_digits() == 640
+
+
+def test_small_decimal_conversions_leave_the_digit_cap_alone(monkeypatch) -> None:
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", calls.append)
+    for n in (0, 7, -12345, 2**2000 - 1, -(2**2000 - 1)):
+        assert parse_decimal(decimal_str(n)) == n
+    assert parse_decimal("9" * 640) == 10**640 - 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------- levels
