@@ -209,15 +209,13 @@ def survival_curve(
     for i in range(d, horizon + 1):
         count, take = cell(i)
         if take:
-            p = take / count
-            if p < 1.0:
-                log_sum.add(math.log1p(-p))
-            elif take < count:
-                # p rounded up to 1.0: count - take is tiny beside count.
-                log_sum.add(math.log(count - take) - math.log(count))
+            if take == count:
+                log_sum.add(-math.inf)  # the bag leaves for sure: value 0
+            elif 2 * take <= count:
+                log_sum.add(math.log1p(-(take / count)))
             else:
-                # The bag leaves for sure: log -inf, value 0.
-                log_sum.add(-math.inf)
+                # log1p would amplify the rounding of a ratio above 1/2.
+                log_sum.add(math.log(count - take) - math.log(count))
         emit(i, math.exp(log_sum.value), log_sum.value)
     return results
 

@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import closing, nullcontext
 from fractions import Fraction
 from typing import Any
 
@@ -172,6 +173,21 @@ def _cmd_survival(args: argparse.Namespace) -> int:
     return 0
 
 
+class _FileOnFirstWrite:
+    """A text file that is opened (and truncated) only when first written to."""
+
+    def __init__(self, path: str) -> None:
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        self.fh = self.fh or open(self.path, "w", encoding="utf-8")
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     instance = _load_instance(args, horizon_cap=args.nights)
@@ -197,20 +213,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         return 0
 
-    trace = run_trace(
-        instance,
-        strategy,
-        args.nights,
-        seed,
-        tagged_days=tag_days,
-        label_mode=args.label_mode,
-    )
+    # run_trace raises every input error before its first line, so a failed
+    # run leaves no file behind.
+    with closing(_FileOnFirstWrite(args.out)) if args.out else nullcontext(sys.stdout) as out:
+        trace = run_trace(
+            instance,
+            strategy,
+            args.nights,
+            seed,
+            tagged_days=tag_days,
+            label_mode=args.label_mode,
+            sink=out.write,
+        )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_jsonl())
         _emit({"out": args.out, "nights": args.nights, "seed": seed, "digest": trace.digest})
-    else:
-        sys.stdout.write(trace.to_jsonl())
     return 0
 
 

@@ -1,23 +1,19 @@
 """Night-by-night simulation of the cave game.
 
-State is count-based: anonymous bags are stored as exact integer counts per
-partition cell, so cells of astronomical size cost nothing. Only explicitly
-tagged bags are materialized, and their joint removal law is preserved
-exactly by hypergeometric draws inside any partially removed cell.
-
-The partition on night i is: the very-old pool (arrival day <= i - b(i)),
-then one cell per remembered arrival day, oldest first. Removal follows the
-oldest-first cascade — find the minimal prefix of the partition whose total
-strictly exceeds the night's quota r(i); every earlier cell is emptied and
-the remainder is drawn from the boundary cell, either by lowest arrival
-rank (deterministic variant) or as a uniform subset (randomized variant).
-Bag ``pos`` of day d has arrival rank s(1) + ... + s(d-1) + pos, so the
-deterministic variant is FIFO over all arrivals, and the tagged bags it
-removes are read from the instance's prefix sums (``GameInstance.fifo_cut``).
-
-The state keeps per-cell lists of in-cave tagged bags and the oldest one's
-index, so a night reads only the tags of the cells its quota touches, and
-``oldest-det`` only the tags it removes.
+The partition on night i is the very-old pool (arrival day <= i - b(i)),
+then one cell per remembered arrival day, oldest first. Removal empties
+whole cells oldest first until the quota r(i) lands inside one boundary
+cell. Every cell's count and take is an instance fact read from the prefix
+sums (``GameInstance.night_cuts``), so the state holds only the tagged
+bags: cells of astronomical size cost nothing, and a night costs one
+bisection plus the cells and tags it touches, whatever the memory bound.
+Tagged bags keep their exact joint removal law. Bag ``pos`` of day d has
+arrival rank s(1) + ... + s(d-1) + pos, and the deterministic variant is
+FIFO over all arrivals (``GameInstance.fifo_cut``); the randomized one
+resolves the tags inside a partly removed cell by an exact hypergeometric
+draw. Per-cell lists of in-cave tags and the oldest one's index let a night
+read only the tags of the cells its quota touches, and ``oldest-det`` only
+the tags it removes.
 
 Randomness is addressable: the draw stream for night i of trial t under
 master seed S has key ``stream_key(S, t, i)`` (stream 0 is reserved for bag
@@ -31,10 +27,9 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -90,55 +85,41 @@ class TaggedBag:
 
 
 @dataclass
-class WindowCell:
-    """The count of bags left from one remembered arrival day."""
-
-    day: int
-    count: int
-
-
-@dataclass
 class CaveState:
-    """Mutable game state owned by a single run.
+    """Mutable tag state owned by a single run; the cell counts are the
+    instance's (``GameInstance.night_cuts``).
 
-    ``night`` is the last completed night; ``merge_cutoff`` is the largest
-    arrival day already merged into the very-old pool. ``tagged`` is in id
-    order, which is (day, pos) order; ``tag_front`` indexes its oldest
-    in-cave bag. ``cell_tags`` maps a cell key (a remembered day, or
-    ``VERY_OLD_KEY``) to its in-cave tagged ids in id order, if any.
+    ``night`` is the last completed night and ``day`` the last day whose
+    batch has arrived; ``merge_cutoff`` is the largest arrival day already
+    in the very-old pool. ``tagged`` is in id order, which is (day, pos)
+    order; ``tag_front`` indexes its oldest in-cave bag. ``cell_tags`` maps
+    a cell key (a remembered day, or ``VERY_OLD_KEY``) to its in-cave tagged
+    ids in id order, if any.
     """
 
     night: int = 0
-    cave_size: int = 0
-    very_old_count: int = 0
+    day: int = 0
     merge_cutoff: int = 0
-    cells: deque[WindowCell] = field(default_factory=deque)
     tagged: list[TaggedBag] = field(default_factory=list)
     cell_tags: dict[int, list[int]] = field(default_factory=dict)
     tag_front: int = 0
     pending_tags: dict[int, list[int]] = field(default_factory=dict)
     next_tag_id: int = 1
 
-    def window_counts(self) -> list[tuple[int, int]]:
-        return [(cell.day, cell.count) for cell in self.cells]
-
 
 def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
-    """Apply day i: add the new batch, then age the memory window.
+    """Apply day i: tag the new batch, then age the memory window.
 
-    Arrival days at or below i - b(i) merge into the very-old pool. A memory
-    bound that grows by more than one per night would require a forgotten
-    day to re-enter the window, which the count-based state cannot represent
-    — that raises RestrictionViolated.
+    The tags of arrival days at or below i - b(i) move to the very-old pool.
+    A memory bound that grows by more than one per night would require a
+    forgotten day to re-enter the window, which the oldest-first cells
+    cannot represent — that raises RestrictionViolated.
     """
-    if i != state.night + 1:
-        raise SpecInvalid(f"step_day for day {i} but last completed night is {state.night}")
+    if i != state.night + 1 or state.day == i:
+        raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
     if i > instance.horizon_cap:
         raise ScheduleExhausted(f"day {i} beyond instance horizon_cap {instance.horizon_cap}")
     _, s_i, b_i = instance.evaluate(i)
-
-    state.cells.append(WindowCell(day=i, count=s_i))
-    state.cave_size += s_i
 
     for pos in sorted(state.pending_tags.pop(i, ())):  # ids in position order
         if not (1 <= pos <= s_i):
@@ -153,12 +134,11 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
             f"memory bound at night {i} would re-admit forgotten days"
             f" (cutoff {cutoff} < previously merged {state.merge_cutoff})"
         )
-    while state.cells and state.cells[0].day <= cutoff:
-        cell = state.cells.popleft()
-        state.very_old_count += cell.count
-        if cell.day in state.cell_tags:  # pool days are older: id order holds
-            state.cell_tags.setdefault(VERY_OLD_KEY, []).extend(state.cell_tags.pop(cell.day))
+    for d in range(state.merge_cutoff + 1, cutoff + 1):
+        if d in state.cell_tags:  # pool days are older: id order holds
+            state.cell_tags.setdefault(VERY_OLD_KEY, []).extend(state.cell_tags.pop(d))
     state.merge_cutoff = cutoff
+    state.day = i
     return state
 
 
@@ -228,17 +208,8 @@ class RemovalPlan:
     """Outcome of one night's selection, not yet applied to the state."""
 
     night: int
-    quota: int
-    very_old_take: int
-    window_takes: list[tuple[int, int]]  # (arrival day, count), oldest first
+    cells: list[tuple[int, int]]  # (cell key, count taken), oldest first
     removed_tagged: list[int]  # tagged bag ids
-
-    def removed_cells(self) -> list[tuple[int, int]]:
-        cells: list[tuple[int, int]] = []
-        if self.very_old_take:
-            cells.append((VERY_OLD_KEY, self.very_old_take))
-        cells.extend(self.window_takes)
-        return cells
 
 
 def select_removals(
@@ -250,34 +221,19 @@ def select_removals(
 ) -> RemovalPlan:
     """Plan night i's removals without mutating the state.
 
-    Walks the partition oldest-first, emptying whole cells until the quota
-    r(i) lands inside one boundary cell. The deterministic strategy removes
-    the tagged bags that FIFO has reached by the end of night i. The
-    randomized one takes the boundary remainder uniformly: tagged bags
-    inside it are resolved by an exact hypergeometric draw, then a uniform
-    choice of which tagged ones go.
+    The cells and their takes are ``instance.night_cuts(i)``: whole cells
+    oldest first until the quota r(i) lands inside one boundary cell. The
+    deterministic strategy removes the tagged bags that FIFO has reached by
+    the end of night i. The randomized one takes the boundary remainder
+    uniformly: tagged bags inside it are resolved by an exact
+    hypergeometric draw, then a uniform choice of which tagged ones go.
     """
     strategy = as_strategy(strategy)
-    if i != state.night + 1:
-        raise SpecInvalid(f"select_removals for night {i} but last completed night is {state.night}")
-    quota = instance.r_at(i)
-    if quota > state.cave_size:
-        raise SpecInvalid(f"night {i} quota {quota} exceeds cave size {state.cave_size}")
+    if i != state.night + 1 or state.day != i:
+        raise SpecInvalid(f"select_removals for night {i} but day {state.day} and night {state.night} are done")
     if strategy is StrategyKind.OLDEST_RND and rng is None:
         raise SpecInvalid("randomized strategy needs an rng stream")
-
-    vo = state.very_old_count
-    cuts = [(VERY_OLD_KEY, vo, min(quota, vo))]  # (cell key, count, take), oldest first
-    left = quota - cuts[0][2]
-    for cell in state.cells:
-        if left == 0:
-            break
-        take = min(left, cell.count)
-        if take:
-            cuts.append((cell.day, cell.count, take))
-            left -= take
-    if left:
-        raise VerificationFailed("cascade failed to cover the quota despite a large enough cave")
+    cuts = instance.night_cuts(i)
 
     removed_tagged = []
     if strategy is StrategyKind.OLDEST_DET:
@@ -297,31 +253,13 @@ def select_removals(
             j = sample_hypergeom(count, len(tags), take, rng)
             removed_tagged.extend(tags[k] for k in _choose_uniform_subset(len(tags), j, rng))
 
-    return RemovalPlan(
-        night=i,
-        quota=quota,
-        very_old_take=cuts[0][2],
-        window_takes=[(day, take) for day, _, take in cuts[1:]],
-        removed_tagged=removed_tagged,
-    )
+    return RemovalPlan(night=i, cells=[(key, take) for key, _, take in cuts], removed_tagged=removed_tagged)
 
 
 def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
     """Commit a removal plan produced by select_removals on this state."""
-    if plan.night != state.night + 1:
-        raise SpecInvalid(f"plan for night {plan.night} but last completed night is {state.night}")
-
-    state.very_old_count -= plan.very_old_take
-    cell_iter = iter(state.cells)
-    for day, take in plan.window_takes:
-        for cell in cell_iter:
-            if cell.day == day:
-                if take > cell.count:
-                    raise SpecInvalid(f"plan removes {take} from day {day} cell of {cell.count}")
-                cell.count -= take
-                break
-        else:
-            raise SpecInvalid(f"plan references day {day} not present in the window")
+    if plan.night != state.night + 1 or state.day != plan.night:
+        raise SpecInvalid(f"plan for night {plan.night} but day {state.day} and night {state.night} are done")
 
     for bag_id in plan.removed_tagged:
         if not 1 <= bag_id <= len(state.tagged):
@@ -338,14 +276,14 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
     while state.tag_front < len(state.tagged) and state.tagged[state.tag_front].removed_night is not None:
         state.tag_front += 1
 
-    state.cave_size -= plan.quota
     state.night = plan.night
     return state
 
 
 @dataclass
 class Trace:
-    """One simulated run: the hashed lines (header, one per night) and digest."""
+    """One simulated run: the hashed lines (header, one per night; none if
+    streamed to a sink) and digest."""
 
     header: dict[str, Any]
     lines: list[str]
@@ -373,9 +311,25 @@ def _normalize_tags(tagged_days: Iterable[int | tuple[int, int]]) -> dict[int, l
         if pos < 1:
             raise SpecInvalid(f"tag position must be >= 1, got {pos}")
         pending.setdefault(day, []).append(pos)
-    for positions in pending.values():
+    for day, positions in pending.items():
         positions.sort()
+        if len(set(positions)) < len(positions):
+            raise SpecInvalid(f"a bag of day {day} is tagged more than once")
     return pending
+
+
+def _require_traceable(instance: GameInstance, nights: int, pending: dict[int, list[int]]) -> None:
+    """Raise what playing nights 1..nights would raise, before the first
+    line: at each tagged day, the errors of earlier nights first, then an
+    invalid day, then a tag position outside the day's batch."""
+    for d in sorted(pending):
+        if d > nights:
+            break
+        instance.require_playable(d - 1)
+        s_d = instance.s_at(d)
+        if pending[d][-1] > s_d:
+            raise SpecInvalid(f"tag position {pending[d][-1]} outside day {d}'s batch of size {s_d}")
+    instance.require_playable(nights)
 
 
 def run_trace(
@@ -386,15 +340,18 @@ def run_trace(
     tagged_days: Iterable[int | tuple[int, int]] = (),
     label_mode: str = "sequential",
     trial_index: int = 0,
+    sink: Callable[[str], Any] | None = None,
 ) -> Trace:
-    """Simulate nights 1..nights and return the full trace.
+    """Simulate nights 1..nights and return the trace.
 
     Deterministic given (instance, strategy, nights, seed, tags): night i
     draws from the stream keyed by ``stream_key(seed, trial_index, i)``.
     ``label_mode`` controls the cosmetic bag labels on tagged bags:
     ``sequential`` uses the internal id, ``random-unit`` draws a uniform
     label in [0, 1) from the reserved label stream. Labels never affect
-    dynamics.
+    dynamics. Every input error is raised before the first line. With
+    ``sink``, the text ``to_jsonl()`` would return goes to ``sink`` one
+    line at a time as it is made, and the returned trace keeps no lines.
     """
     strategy = as_strategy(strategy)
     if nights < 0:
@@ -405,6 +362,7 @@ def run_trace(
         raise SpecInvalid(f"unknown label mode {label_mode!r}")
 
     pending = _normalize_tags(tagged_days)
+    _require_traceable(instance, nights, pending)
     state = CaveState(pending_tags={d: list(ps) for d, ps in pending.items()})
     label_rng = CounterRNG(stream_key(seed, trial_index, 0))
 
@@ -419,11 +377,18 @@ def run_trace(
         "schedule": instance.spec.to_obj(),
         "tags": sorted([day, str(pos)] for day, ps in pending.items() for pos in ps),
     }
-    lines = [canonical_dumps(header)]
+    lines: list[str] = []
     hasher = hashlib.sha256()
-    hasher.update(lines[0].encode("ascii"))
-    hasher.update(b"\n")
 
+    def emit(line: str) -> None:
+        text = line + "\n"
+        hasher.update(text.encode("ascii"))
+        if sink is None:
+            lines.append(line)
+        else:
+            sink(text)
+
+    emit(canonical_dumps(header))
     labeled_through = 0
     for i in range(1, nights + 1):
         step_day(state, instance, i)
@@ -431,32 +396,26 @@ def run_trace(
             bag = state.tagged[labeled_through]
             bag.label = str(bag.id) if label_mode == "sequential" else repr(label_rng.u01())
             labeled_through += 1
-        cave_before = state.cave_size
         rng = CounterRNG(stream_key(seed, trial_index, i)) if strategy is StrategyKind.OLDEST_RND else None
         plan = select_removals(state, instance, i, strategy, rng)
         apply_removals(state, plan)
         removed = [state.tagged[bag_id - 1] for bag_id in sorted(plan.removed_tagged)]
+        cave_after = instance.cave_level(i)
         record = {
             "i": i,
-            "cave_before": decimal_str(cave_before),
-            "cave_after": decimal_str(state.cave_size),
-            "removed_cells": [[day, decimal_str(count)] for day, count in plan.removed_cells()],
+            "cave_before": decimal_str(cave_after + instance.r_at(i)),
+            "cave_after": decimal_str(cave_after),
+            "removed_cells": [[key, decimal_str(take)] for key, take in plan.cells],
             "tagged_events": [
                 {"id": bag.id, "day": bag.day, "pos": decimal_str(bag.pos), "night": i} for bag in removed
             ],
         }
-        line = canonical_dumps(record)
-        lines.append(line)
-        hasher.update(line.encode("ascii"))
-        hasher.update(b"\n")
+        emit(canonical_dumps(record))
 
-    return Trace(
-        header=header,
-        lines=lines,
-        tagged=list(state.tagged),
-        digest=hasher.hexdigest(),
-        final_state=state,
-    )
+    digest = hasher.hexdigest()
+    if sink is not None:
+        sink(canonical_dumps({"digest": digest}) + "\n")
+    return Trace(header=header, lines=lines, tagged=list(state.tagged), digest=digest, final_state=state)
 
 
 def empirical_survival(

@@ -590,6 +590,32 @@ class GameInstance:
         count = min(s, max(0, sum_s[d] - sum_r[i - 1]))
         return count, count - min(s, max(0, sum_s[d] - sum_r[i]))
 
+    def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
+        """[(key, count, take)]: the cells night i takes from, oldest first, as
+        ``cell`` gives them; key 0 is the very-old pool, else the arrival day.
+        One bisection finds the oldest remembered day with bags left; the walk
+        stops at the day of ``fifo_cut(i)``.
+        """
+        if not 1 <= i <= self.horizon_cap:
+            raise IndexBeyondHorizon(f"night {i} outside [1, {self.horizon_cap}] for this instance")
+        # require_playable(i) raises exactly when this holds; testing it here
+        # first keeps the call off the path of every playable night.
+        first_invalid, first_break = self.first_invalid_index, self.restriction1_first_violation
+        if (first_invalid is not None and i >= first_invalid) or (first_break is not None and first_break < i):
+            self.require_playable(i)
+        sum_s, sum_r = self._sum_s, self._sum_r
+        cutoff = i - self._b[i]
+        before, after = sum_r[i - 1], sum_r[i]
+        pool = max(0, sum_s[cutoff] - before)
+        cuts = [(0, pool, min(self._r[i], pool))] if pool else []
+        # Arrivals strictly increase on valid days, and S(i) > R(i).
+        d = bisect_right(sum_s, before, cutoff + 1, i + 1)
+        while sum_s[d - 1] < after:
+            count = min(self._s[d], sum_s[d] - before)
+            cuts.append((d, count, count - max(0, sum_s[d] - after)))
+            d += 1
+        return cuts
+
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""
         if not (1 <= horizon <= self.horizon_cap):

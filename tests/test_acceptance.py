@@ -43,6 +43,8 @@ from robinhood.cli import dispatch
 from robinhood.engine import hypergeom_weights
 from robinhood.rng import CounterRNG, stream_key
 
+from .count_cascade import CountCascade
+
 DET = StrategyKind.OLDEST_DET
 RND = StrategyKind.OLDEST_RND
 
@@ -229,7 +231,14 @@ def test_criterion_6_small_memory_sweeps_on_schedule() -> None:
             removed = [b.removed_night for b in trace.tagged]
             if any(n is None or n > bound_night for n in removed):
                 ok = False
-            if trace.final_state.very_old_count != 0:
+            # The pool after the last night, from the former count cascade,
+            # whose takes the trace records list.
+            ref = CountCascade(instance)
+            for i, cuts in ref.play(bound_night):
+                if [[key, str(take)] for key, _, take in cuts] != trace.records[i - 1]["removed_cells"]:
+                    ok = False
+                ref.remove(cuts)
+            if ref.night != bound_night or ref.very_old_count != 0:
                 ok = False
         details.append(f"d={d}: by night {bound_night}")
     _report(6, ok, "first and last day-d bags removed and pool emptied (both strategies); " + ", ".join(details))
@@ -238,14 +247,17 @@ def test_criterion_6_small_memory_sweeps_on_schedule() -> None:
 # --------------------------------------------------------------- criterion 7
 
 
-def _advance(instance: GameInstance, state: CaveState, night: int) -> None:
+def _advance(instance: GameInstance, state: CaveState, ref: CountCascade, night: int) -> None:
     step_day(state, instance, night)
+    ref.step_day(night)
     plan = select_removals(state, instance, night, DET)
     apply_removals(state, plan)
+    ref.remove(ref.cuts(night))
 
 
-def _members(state: CaveState) -> list[list[int | None]]:
-    """Cave cells oldest-first as lists of tagged ids (None = untagged).
+def _members(state: CaveState, ref: CountCascade) -> list[list[int | None]]:
+    """Cave cells oldest-first as lists of tagged ids (None = untagged),
+    with the counts of the former count cascade.
 
     A uniform draw inside a cell depends only on its count and on which
     tagged bags it holds, so positions are not needed.
@@ -255,17 +267,17 @@ def _members(state: CaveState) -> list[list[int | None]]:
     def cell(ids: list[int], count: int) -> list[int | None]:
         return [*ids, *[None] * (count - len(ids))]
 
-    pools = [cell([b.id for b in in_cave if b.day <= state.merge_cutoff], state.very_old_count)]
-    pools.extend(cell([b.id for b in in_cave if b.day == c.day], c.count) for c in state.cells)
+    pools = [cell([b.id for b in in_cave if b.day <= state.merge_cutoff], ref.very_old_count)]
+    pools.extend(cell([b.id for b in in_cave if b.day == day], count) for day, count in ref.window_counts())
     return pools
 
 
-def _exact_signature_pmf(state: CaveState, quota: int) -> dict[frozenset[int], Fraction]:
+def _exact_signature_pmf(state: CaveState, ref: CountCascade, quota: int) -> dict[frozenset[int], Fraction]:
     """Law of the removed-tag set: sweep whole cells, uniform in the boundary."""
     fixed: set[int] = set()
     remaining = quota
     boundary: list[int | None] = []
-    for pool in _members(state):
+    for pool in _members(state, ref):
         if remaining >= len(pool):
             fixed.update(x for x in pool if x is not None)
             remaining -= len(pool)
@@ -323,12 +335,14 @@ def test_criterion_7_randomized_selection_law() -> None:
             cap=cap,
         )
         state = CaveState(pending_tags={d: [p for dd, p in tags if dd == d] for d, _ in tags})
+        ref = CountCascade(instance)
         for night in range(1, runup + 1):
-            _advance(instance, state, night)
+            _advance(instance, state, ref, night)
         night = runup + 1
         step_day(state, instance, night)
+        ref.step_day(night)
         quota = instance.r_at(night)
-        pmf = _exact_signature_pmf(state, quota)
+        pmf = _exact_signature_pmf(state, ref, quota)
 
         observed: Counter[frozenset[int]] = Counter()
         for k in range(samples):

@@ -1,11 +1,11 @@
-"""The closed-form cell ledger against the engine's count cascade.
+"""The closed-form cell ledger against the engine's former count cascade.
 
-``GameInstance.cell`` reads a bag's cell from the prefix sums; the engine
-(``step_day`` / ``select_removals``) walks the partition night by night.
-Exact survival and the Monte Carlo estimate are built on the ledger, so
-both are checked here against what the engine does: the product of its
-per-night counts, and a per-trial ``run_trace`` reference (the loop
-``empirical_survival`` ran before the ledger existed).
+``GameInstance.cell`` and ``night_cuts`` read cells from the prefix sums;
+the reference (``tests/count_cascade.py``) walks the partition night by
+night, as the engine did before it read the ledger. Exact survival and the
+Monte Carlo estimate are built on the ledger, so both are checked here
+against the cascade's counts and against a per-trial ``run_trace``
+reference (the loop ``empirical_survival`` ran before the ledger existed).
 """
 
 from __future__ import annotations
@@ -18,19 +18,20 @@ from hypothesis import strategies as st
 
 from robinhood import (
     MODE_EXACT,
-    CaveState,
     FunctionSpec,
     GameInstance,
+    IndexBeyondHorizon,
+    RestrictionViolated,
     RobinHoodError,
     ScheduleSpec,
+    SpecInvalid,
     StrategyKind,
-    apply_removals,
     empirical_survival,
     run_trace,
-    select_removals,
-    step_day,
     survival_curve,
 )
+
+from .count_cascade import VERY_OLD_KEY, CountCascade
 
 DET = StrategyKind.OLDEST_DET
 RND = StrategyKind.OLDEST_RND
@@ -71,25 +72,20 @@ def _outcome(fn, *args, **kwargs):
 
 
 def engine_cells(inst: GameInstance) -> tuple[dict[tuple[int, int], tuple[int, int]], int, type | None]:
-    """(count, take) of every (day, night) cell from the engine's cascade,
+    """(count, take) of every (day, night) cell from the reference cascade,
     the last night it plays, and the error class that stops it there."""
-    state = CaveState()
+    ref = CountCascade(inst)
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(1, inst.horizon_cap + 1):
-        try:
-            step_day(state, inst, i)
-        except RobinHoodError as exc:
-            return cells, i - 1, type(exc)
-        plan = select_removals(state, inst, i, DET)
-        window = dict(state.window_counts())
-        takes = dict(plan.window_takes)
+    played = 0
+    for i, cuts in ref.play(inst.horizon_cap):
+        counts = ref.counts()
+        takes = {key: take for key, _, take in cuts}
         for d in range(1, i + 1):
-            if d <= state.merge_cutoff:
-                cells[d, i] = (state.very_old_count, plan.very_old_take)
-            else:
-                cells[d, i] = (window[d], takes.get(d, 0))
-        apply_removals(state, plan)
-    return cells, inst.horizon_cap, None
+            key = VERY_OLD_KEY if d <= ref.merge_cutoff else d
+            cells[d, i] = (counts[key], takes.get(key, 0))
+        ref.remove(cuts)
+        played = i
+    return cells, played, ref.error
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,9 +95,24 @@ def test_cell_matches_the_engine_cascade(inst: GameInstance) -> None:
     for (d, i), counts in cells.items():
         assert inst.cell(d, i) == counts
     if error is not None:
-        # Past the last playable night the ledger refuses as the engine does.
+        # Past the last playable night the ledger refuses as the engine did.
         for d in range(1, played + 2):
             assert _outcome(inst.cell, d, played + 1) is error
+
+
+@settings(max_examples=300, deadline=None)
+@given(dip_instances())
+def test_night_cuts_match_the_reference_cascade(inst: GameInstance) -> None:
+    ref = CountCascade(inst)
+    played = 0
+    for i, cuts in ref.play(inst.horizon_cap):
+        assert inst.night_cuts(i) == cuts
+        ref.remove(cuts)
+        played = i
+    # Every later night refuses with the class of the first unplayable one.
+    for i in range(played + 1, inst.horizon_cap + 1):
+        assert _outcome(inst.night_cuts, i) is ref.error
+    assert _outcome(inst.night_cuts, inst.horizon_cap + 1) is IndexBeyondHorizon
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,3 +165,67 @@ def test_monte_carlo_matches_a_per_trial_engine_reference(inst: GameInstance, da
         assert isinstance(got, tuple)
     else:
         assert got == want
+
+
+def ref_first_error(inst: GameInstance, nights: int, tags: dict[int, list[int]]) -> type | None:
+    """The error class the former engine raised on the first night it could
+    not play: an invalid day, then a tag outside the day's batch, then a
+    memory break, in that order within a night."""
+    ref = CountCascade(inst)
+    for i in range(1, nights + 1):
+        try:
+            _, s_i, _ = inst.evaluate(i)
+            if any(pos > s_i for pos in tags.get(i, ())):
+                raise SpecInvalid(f"tag outside day {i}'s batch")
+            ref.step_day(i)
+        except RobinHoodError as exc:
+            return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dip_instances(), st.data())
+def test_trace_raises_before_its_first_line_what_its_nights_raise(inst: GameInstance, data) -> None:
+    cap = inst.horizon_cap
+    nights = data.draw(st.integers(0, cap))
+    tags = data.draw(
+        st.dictionaries(st.integers(1, cap + 1), st.lists(st.integers(1, 10), min_size=1, unique=True), max_size=4)
+    )
+    tagged_days = [(d, pos) for d, positions in tags.items() for pos in positions]
+    strategy = data.draw(st.sampled_from([DET, RND]))
+    streamed: list[str] = []
+    got = _outcome(run_trace, inst, strategy, nights, 5, tagged_days=tagged_days, sink=streamed.append)
+    want = ref_first_error(inst, nights, tags)
+    if want is not None:
+        assert got is want and streamed == []
+    else:
+        kept = run_trace(inst, strategy, nights, 5, tagged_days=tagged_days)
+        assert "".join(streamed) == kept.to_jsonl()
+        assert got.lines == [] and got.digest == kept.digest
+
+
+def test_a_bad_tag_on_a_memory_break_night_is_reported_first() -> None:
+    # Night 3 breaks restriction 1 and tags a bag outside its batch of 2:
+    # the former engine checked the tags first.
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.constant(1),
+        s_spec=FunctionSpec.constant(2),
+        b_spec=FunctionSpec.table([0, 0, 2], FunctionSpec.constant(2)),
+    )
+    inst = GameInstance(spec, horizon_cap=5)
+    assert ref_first_error(inst, 5, {3: [3]}) is SpecInvalid
+    assert _outcome(run_trace, inst, DET, 5, 0, tagged_days=[(3, 3)]) is SpecInvalid
+    assert _outcome(run_trace, inst, DET, 5, 0, tagged_days=[(3, 2)]) is RestrictionViolated
+
+
+@settings(max_examples=200, deadline=None)
+@given(dip_instances(), st.sampled_from([DET, RND]))
+def test_trace_records_list_the_reference_cascade(inst: GameInstance, strategy) -> None:
+    ref = CountCascade(inst)
+    want = []
+    for i, cuts in ref.play(inst.horizon_cap):
+        before = ref.cave_size
+        ref.remove(cuts)
+        want.append((i, str(before), str(ref.cave_size), [[key, str(take)] for key, _, take in cuts]))
+    trace = run_trace(inst, strategy, ref.night, seed=3, tagged_days=[(1, 1)])
+    assert [(r["i"], r["cave_before"], r["cave_after"], r["removed_cells"]) for r in trace.records] == want

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinhood import GameInstance, classify, load_schedule, survival_probability
+from robinhood import cli
 from robinhood.cli import DEFAULT_SEED, dispatch
 from robinhood.schedule import canonical_dumps
 
@@ -192,6 +193,39 @@ def test_simulate_out_file_holds_the_printed_trace(tmp_path, capsys, options) ->
     assert json.loads(last) == {"digest": digest}
     assert json.loads(out)["digest"] == digest
     assert len(body.split(b"\n")) == 1 + 40
+
+
+@pytest.mark.parametrize(
+    "r, b, error",
+    [
+        ({"kind": "table", "values": [1, 1, 2], "tail": {"kind": "constant", "value": 1}},
+         {"kind": "constant", "value": 0}, "SpecInvalid"),
+        ({"kind": "constant", "value": 1},
+         {"kind": "table", "values": [0, 0, 2], "tail": {"kind": "constant", "value": 2}}, "RestrictionViolated"),
+    ],
+    ids=["invalid-day-3", "memory-break-at-3"],
+)
+def test_simulate_fails_before_its_first_line(tmp_path, capsys, r, b, error) -> None:
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"r": r, "s": {"kind": "constant", "value": 2}, "b": b}), encoding="utf-8")
+    out_path = tmp_path / "trace.jsonl"
+    out_path.write_text("kept\n", encoding="utf-8")
+    for extra in ([], ["--out", str(out_path)]):
+        assert dispatch(["simulate", str(path), "--nights", "5", "--tag-day", "1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == error
+    assert out_path.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_simulate_out_streams_without_keeping_the_trace(sched, tmp_path, capsys, monkeypatch) -> None:
+    # The CLI hands run_trace a sink, so no line is kept in memory.
+    traces, run_trace = [], cli.run_trace
+    monkeypatch.setattr(cli, "run_trace", lambda *args, **kw: traces.append(run_trace(*args, **kw)) or traces[-1])
+    out_path = tmp_path / "trace.jsonl"
+    code, out = run(capsys, "simulate", sched, "--nights", "300", "--seed", "4", "--out", str(out_path))
+    assert code == 0
+    assert traces[0].lines == [] and json.loads(out)["digest"] == traces[0].digest
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == 1 + 300 + 1
 
 
 json_values = st.recursive(

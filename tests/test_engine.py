@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -34,6 +35,7 @@ from robinhood.engine import VERY_OLD_KEY, _choose_uniform_subset, hypergeom_wei
 from robinhood.rng import CounterRNG, stream_key, u01_from_word, word
 
 from .conftest import make_instance
+from .count_cascade import CountCascade
 
 DET = StrategyKind.OLDEST_DET
 RND = StrategyKind.OLDEST_RND
@@ -54,27 +56,36 @@ def night_rng(seed, i, trial=0):
 
 
 def test_step_day_accumulates_and_merges(memoryless_121) -> None:
-    state = CaveState()
+    state, ref = CaveState(), CountCascade(memoryless_121)
     step_day(state, memoryless_121, 1)
+    ref.step_day(1)
     # b = 0: the day's own batch immediately becomes very old.
-    assert state.cave_size == 2
-    assert state.very_old_count == 2
-    assert state.window_counts() == []
-    assert state.merge_cutoff == 1
+    assert ref.cave_size == 2
+    assert ref.very_old_count == 2
+    assert ref.window_counts() == []
+    assert state.merge_cutoff == ref.merge_cutoff == 1
+    assert memoryless_121.night_cuts(1) == ref.cuts(1) == [(VERY_OLD_KEY, 2, 1)]
 
 
 def test_step_day_keeps_window_cells_under_positive_memory() -> None:
     b_spec = FunctionSpec.table([0], FunctionSpec.constant(1))
     inst = make_instance(1, 3, b_spec, horizon_cap=10)
-    state = CaveState()
+    state, ref = CaveState(), CountCascade(inst)
     step_day(state, inst, 1)
-    assert state.very_old_count == 3 and state.window_counts() == []
+    ref.step_day(1)
+    assert ref.very_old_count == 3 and ref.window_counts() == []
     plan = select_removals(state, inst, 1, DET)
+    assert plan.cells == [(VERY_OLD_KEY, 1)]
     apply_removals(state, plan)
+    ref.remove(ref.cuts(1))
     step_day(state, inst, 2)
+    ref.step_day(2)
     # b(2) = 1: day 2 stays in the window, day 1 leftovers are already old.
-    assert state.window_counts() == [(2, 3)]
-    assert state.very_old_count == 2
+    assert ref.window_counts() == [(2, 3)]
+    assert ref.very_old_count == 2
+    assert state.merge_cutoff == 1
+    assert inst.cell(2, 2) == (3, 0) and inst.cell(1, 2) == (2, 1)
+    assert inst.night_cuts(2) == ref.cuts(2) == [(VERY_OLD_KEY, 2, 1)]
 
 
 def test_step_day_rejects_out_of_sequence_calls(memoryless_121) -> None:
@@ -105,25 +116,32 @@ def test_step_day_past_horizon_is_exhausted() -> None:
 # ------------------------------------------------------------ conservation
 
 
-def _pool_and_window(state, instance) -> tuple[int, int]:
+def _pool_and_window(ref: CountCascade, instance) -> tuple[int, int]:
     """The very-old pool from the arrival and removal sums; the window from the cells."""
-    arrived = sum(instance.s_at(j) for j in range(1, state.merge_cutoff + 1))
-    removed = sum(instance.r_at(j) for j in range(1, state.night + 1))
-    return max(0, arrived - removed), sum(cell.count for cell in state.cells)
+    arrived = sum(instance.s_at(j) for j in range(1, ref.merge_cutoff + 1))
+    removed = sum(instance.r_at(j) for j in range(1, ref.night + 1))
+    return max(0, arrived - removed), sum(count for _, count in ref.window_counts())
 
 
 @pytest.mark.parametrize("strategy", [DET, RND])
 def test_counts_conserved_across_nights(strategy) -> None:
+    # The engine's plan takes night_cuts; the reference cascade's counts,
+    # advanced by the same takes, stay equal to the level formulas.
     b_spec = FunctionSpec.table([0, 1, 2], FunctionSpec.constant(2))
     inst = make_instance(2, FunctionSpec.affine(1, 3), b_spec, horizon_cap=30)
     state = CaveState()
-    for i in range(1, 31):
+    ref = CountCascade(inst)
+    for i, cuts in ref.play(30):
         rng = night_rng(17, i) if strategy is RND else None
-        advance(state, inst, i, strategy, rng)
-        pool, window = _pool_and_window(state, inst)
-        assert pool == state.very_old_count
-        assert state.very_old_count + window == state.cave_size
-        assert state.cave_size == inst.cave_level(i)
+        plan = advance(state, inst, i, strategy, rng)
+        assert plan.cells == [(key, take) for key, _, take in cuts]
+        assert state.merge_cutoff == ref.merge_cutoff
+        ref.remove(cuts)
+        pool, window = _pool_and_window(ref, inst)
+        assert pool == ref.very_old_count
+        assert ref.very_old_count + window == ref.cave_size
+        assert ref.cave_size == inst.cave_level(i)
+    assert ref.night == state.night == 30
 
 
 @pytest.mark.parametrize("strategy", [DET, RND])
@@ -143,12 +161,18 @@ def test_very_old_count_equals_level_formula(strategy) -> None:
     ]
     for inst in cases:
         state = CaveState()
-        for i in range(1, 51):
+        ref = CountCascade(inst)
+        for i, cuts in ref.play(50):
             step_day(state, inst, i)
-            assert state.very_old_count == inst.very_old_level(i)
+            assert ref.very_old_count == inst.very_old_level(i)
+            pool = [count for key, count, _ in inst.night_cuts(i) if key == VERY_OLD_KEY]
+            assert pool == ([inst.very_old_level(i)] if inst.very_old_level(i) else [])
             rng = night_rng(23, i) if strategy is RND else None
             plan = select_removals(state, inst, i, strategy, rng)
+            assert plan.cells == [(key, take) for key, _, take in cuts]
             apply_removals(state, plan)
+            ref.remove(cuts)
+        assert ref.night == 50
 
 
 # -------------------------------------------------------------- selection
@@ -160,15 +184,21 @@ def test_partial_very_old_det_takes_front_positions() -> None:
     # positions 2, 3 leave; tagged (1, 2) goes, (2, 1) stays.
     inst = make_instance(FunctionSpec.table([1], FunctionSpec.constant(2)), 3, 0, horizon_cap=5)
     state = CaveState(pending_tags={1: [2], 2: [1]})
+    ref = CountCascade(inst)
     advance(state, inst, 1)
+    ref.step_day(1)
+    ref.remove(ref.cuts(1))
     step_day(state, inst, 2)
-    assert state.very_old_count == 5
+    ref.step_day(2)
+    cuts = ref.cuts(2)
+    assert ref.very_old_count == 5
+    assert inst.night_cuts(2) == cuts == [(VERY_OLD_KEY, 5, 2)]
     plan = select_removals(state, inst, 2, DET)
-    assert plan.very_old_take == 2
-    assert plan.window_takes == []
+    assert plan.cells == [(VERY_OLD_KEY, 2)]
     assert plan.removed_tagged == [1]
     apply_removals(state, plan)
-    assert state.very_old_count == 3
+    ref.remove(cuts)
+    assert ref.very_old_count == 3
     assert state.tagged[0].removed_night == 2
     assert state.tagged[1].in_cave
 
@@ -182,19 +212,22 @@ def test_cascade_spans_whole_cells_then_boundary() -> None:
     b_spec = FunctionSpec.generated([0, 0, 1, 2])
     inst = make_instance(r_spec, s_spec, b_spec, horizon_cap=4)
     state = CaveState()
-    for i in range(1, 4):
+    ref = CountCascade(inst)
+    for i, cuts in ref.play(4):
+        if i == 4:
+            break
         advance(state, inst, i)
-    assert state.very_old_count == 1  # 2 + 2 arrivals minus 3 removals
-    assert state.window_counts() == [(3, 4)]
-    step_day(state, inst, 4)  # b(4) = 2 keeps day 3 inside the window
-    assert state.very_old_count == 1
-    assert state.window_counts() == [(3, 4), (4, 8)]
+        ref.remove(cuts)
+    assert ref.very_old_count == 1  # 2 + 2 arrivals minus 3 removals
+    assert ref.window_counts() == [(3, 4), (4, 8)]  # b(4) = 2 keeps day 3 inside the window
+    assert inst.night_cuts(4) == cuts == [(VERY_OLD_KEY, 1, 1), (3, 4, 4), (4, 8, 2)]
+    step_day(state, inst, 4)
     plan = select_removals(state, inst, 4, DET)
-    assert plan.very_old_take == 1
-    assert plan.window_takes == [(3, 4), (4, 2)]
+    assert plan.cells == [(VERY_OLD_KEY, 1), (3, 4), (4, 2)]
     apply_removals(state, plan)
-    assert state.cave_size == 6
-    assert state.window_counts() == [(3, 0), (4, 6)]
+    ref.remove(cuts)
+    assert ref.cave_size == inst.cave_level(4) == 6
+    assert ref.window_counts() == [(3, 0), (4, 6)]
 
 
 def test_cascade_boundary_with_zero_remainder_is_dropped() -> None:
@@ -205,20 +238,29 @@ def test_cascade_boundary_with_zero_remainder_is_dropped() -> None:
     b_spec = FunctionSpec.generated([0, 0, 1, 2])
     inst = make_instance(r_spec, s_spec, b_spec, horizon_cap=4)
     state = CaveState()
-    for i in range(1, 4):
-        advance(state, inst, i)
-    step_day(state, inst, 4)
-    plan = select_removals(state, inst, 4, DET)
-    assert plan.very_old_take == 1
-    assert plan.window_takes == [(3, 4)]
-    assert plan.removed_cells() == [(0, 1), (3, 4)]
+    ref = CountCascade(inst)
+    for i, cuts in ref.play(4):
+        plan = advance(state, inst, i)
+        ref.remove(cuts)
+    assert inst.night_cuts(4) == cuts == [(VERY_OLD_KEY, 1, 1), (3, 4, 4)]
+    assert plan.cells == [(0, 1), (3, 4)]
 
 
-def test_select_rejects_quota_beyond_cave() -> None:
+def test_select_rejects_a_night_not_stepped() -> None:
+    # Day 1's batch has not arrived: night 1 cannot be planned or applied.
     inst = make_instance(4, 5, 0, horizon_cap=3)
-    state = CaveState(night=0, cave_size=3, very_old_count=3)
-    with pytest.raises(SpecInvalid):
+    state = CaveState()
+    with pytest.raises(SpecInvalid, match="select_removals for night 1"):
         select_removals(state, inst, 1, DET)
+    step_day(state, inst, 1)
+    plan = select_removals(state, inst, 1, DET)
+    with pytest.raises(SpecInvalid, match="step_day for day 1"):
+        step_day(state, inst, 1)  # the same day twice
+    apply_removals(state, plan)
+    with pytest.raises(SpecInvalid, match="select_removals for night 2"):
+        select_removals(state, inst, 2, DET)
+    with pytest.raises(SpecInvalid, match="plan for night 2"):
+        apply_removals(state, dataclasses.replace(plan, night=2))
 
 
 def test_randomized_strategy_requires_rng(memoryless_121) -> None:
@@ -421,6 +463,11 @@ def test_trace_rejects_bad_tags(memoryless_121) -> None:
         run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[(1, 0)])
     with pytest.raises(SpecInvalid):
         run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[(1, 3)])  # s(1) = 2
+    # One bag tagged twice would be two ids for one bag; three in a cell
+    # of two made the hypergeometric draw raise ValueError.
+    for strategy in (DET, RND):
+        with pytest.raises(SpecInvalid):
+            run_trace(memoryless_121, strategy, 5, seed=0, tagged_days=[1, (1, 1), (1, 1)])
 
 
 _R1S3B2 = make_instance(1, 3, 2, horizon_cap=2000)
@@ -456,6 +503,21 @@ def test_thousand_tag_randomized_trace_is_pinned_and_fast() -> None:
     assert elapsed < 5.0
 
 
+def test_a_night_costs_the_same_under_full_memory() -> None:
+    # With b(i) = i every bag stays in the memory window. The former count
+    # cascade walked each emptied window cell every night, so these traces
+    # took about 80 times as long as with b = 0.
+    def seconds(b) -> float:
+        inst = make_instance(1, 2, b, horizon_cap=20_000)
+        start = time.perf_counter()
+        for strategy in (DET, RND):
+            run_trace(inst, strategy, 20_000, seed=1, tagged_days=[(1, 1)])
+        return time.perf_counter() - start
+
+    memoryless = seconds(0)
+    assert seconds(FunctionSpec.affine(1, 0)) < 3 * memoryless
+
+
 def rescan_cell_tags(state: CaveState) -> dict[int, list[int]]:
     """Every in-cave tagged id by cell key, rebuilt from ``state.tagged``."""
     tags_of: dict[int, list[int]] = {}
@@ -466,12 +528,11 @@ def rescan_cell_tags(state: CaveState) -> dict[int, list[int]]:
     return tags_of
 
 
-def rescan_randomized_removals(state: CaveState, plan, rng: CounterRNG) -> list[int]:
+def rescan_randomized_removals(state: CaveState, counts: dict[int, int], plan, rng: CounterRNG) -> list[int]:
     """The boundary draws of ``oldest-rnd`` from a rescan and product weights."""
-    counts = {VERY_OLD_KEY: state.very_old_count, **dict(state.window_counts())}
     tags_of = rescan_cell_tags(state)
     removed = []
-    for key, take in plan.removed_cells():
+    for key, take in plan.cells:
         tags = tags_of.get(key, [])
         v, t = counts[key], len(tags)
         j = t if take == v else 0
@@ -510,7 +571,8 @@ def tagged_runs(draw):
 def test_cell_tag_lists_and_fifo_front_equal_a_rescan(run) -> None:
     inst, tags, strategy, seed = run
     state = CaveState(pending_tags={d: list(ps) for d, ps in tags.items() if ps})
-    for i in range(1, inst.horizon_cap + 1):
+    ref = CountCascade(inst)
+    for i, cuts in ref.play(inst.horizon_cap):
         step_day(state, inst, i)
         assert state.cell_tags == rescan_cell_tags(state)
         # The former oldest-det comprehension, on this state whatever
@@ -520,9 +582,11 @@ def test_cell_tag_lists_and_fifo_front_equal_a_rescan(run) -> None:
         assert select_removals(state, inst, i, DET).removed_tagged == det
         rng = night_rng(seed, i) if strategy is RND else None
         plan = select_removals(state, inst, i, strategy, rng)
+        assert plan.cells == [(key, take) for key, _, take in cuts]
         if strategy is RND:
-            assert plan.removed_tagged == rescan_randomized_removals(state, plan, night_rng(seed, i))
+            assert plan.removed_tagged == rescan_randomized_removals(state, ref.counts(), plan, night_rng(seed, i))
         apply_removals(state, plan)
+        ref.remove(cuts)
         assert state.cell_tags == rescan_cell_tags(state)
         in_cave = [k for k, b in enumerate(state.tagged) if b.in_cave]
         assert state.tag_front == (in_cave[0] if in_cave else len(state.tagged))

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,15 @@ def restriction1_instances(draw) -> GameInstance:
     return GameInstance(draw_schedule(draw, cap, unit=1), horizon_cap=cap)
 
 
+def ref_log_term(count: int, take: int) -> float:
+    """log(1 - take/count): log1p of the ratio up to 1/2, else from the integers."""
+    if take == count:
+        return -math.inf
+    if Fraction(take, count) <= Fraction(1, 2):
+        return math.log1p(-(take / count))
+    return math.log(count - take) - math.log(count)
+
+
 def ref_log_curve(inst: GameInstance, d: int, horizon: int, mode: str) -> list[float]:
     """log_value at N = d-1..horizon: math.fsum of every log term so far."""
     log_terms: list[float] = []
@@ -128,7 +138,7 @@ def ref_log_curve(inst: GameInstance, d: int, horizon: int, mode: str) -> list[f
         else:
             count, take = inst.very_old_level(i), inst.r_at(i)
         if take:
-            log_terms.append(math.log1p(-(take / count)) if take < count else -math.inf)
+            log_terms.append(ref_log_term(count, take))
         out.append(math.fsum(log_terms))
     return out
 
@@ -169,6 +179,63 @@ def test_log_survival_fold_reaches_window_dips_and_whole_cell_takes() -> None:
     assert [res.log_value for res in curve] == ref_log_curve(inst, 2, 12, MODE_EXACT)
     assert [res.log_value for res in curve[:3]] == [0.0, 0.0, math.log(0.5)]
     assert all(res.log_value == -math.inf and res.value == 0.0 for res in curve[3:])
+
+
+@st.composite
+def steep_instances(draw) -> GameInstance:
+    """b = 0 schedules whose nights take more than half of the pool, up to
+    all but one of its bags, from pools of up to about 10^20 bags."""
+    cap = draw(st.integers(1, 12))
+    r: list[int] = []
+    s: list[int] = []
+    level = 0
+    for _ in range(cap):
+        s.append(level + draw(st.integers(3, 10 ** draw(st.integers(1, 20)))))
+        pool = level + s[-1]
+        r.append(draw(st.one_of(st.integers(pool // 2 + 1, s[-1] - 1), st.just(s[-1] - 1))))
+        level = pool - r[-1]
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r, FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table(s, FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.constant(0),
+    )
+    return GameInstance(spec, horizon_cap=cap)
+
+
+def exact_log(value: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
+
+
+@given(inst=steep_instances())
+@settings(max_examples=300, deadline=None)
+def test_log_value_is_the_log_of_the_exact_value_above_half_ratios(inst) -> None:
+    # Independent of the fold: each log_value against 60-digit logs of the
+    # exact rational survival at the same N (b = 0, so both modes agree).
+    cap = inst.horizon_cap
+    assert all(2 * inst.r_at(i) > inst.very_old_level(i) for i in range(1, cap + 1))
+    for mode in (MODE_EXACT, MODE_PAPER):
+        exact = survival_curve(inst, 1, cap, mode=mode)
+        log = survival_curve(inst, 1, cap, mode=mode, space=SPACE_LOG)
+        for e, g in zip(exact[1:], log[1:]):
+            want = exact_log(e.value)
+            assert abs(Decimal(g.log_value) - want) <= Decimal("1e-12") * abs(want)
+
+
+def test_log_value_near_one_matches_the_integers() -> None:
+    # Night 2 takes 10^16 - 1 of 10^16 + 1 bags: log1p of the rounded ratio
+    # gave -37.0245, where log(3/40000000000000004) = -37.1290.
+    big = 10**16
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table([1, big - 1], FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table([2, big], FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.constant(0),
+    )
+    inst = GameInstance(spec, horizon_cap=3)
+    for mode in (MODE_EXACT, MODE_PAPER):
+        assert survival_curve(inst, 1, 3, mode=mode)[-1].value == Fraction(3, 4 * big + 4)
+        assert survival_curve(inst, 1, 3, mode=mode, space=SPACE_LOG)[-1].log_value == -37.129043560356514
 
 
 def ref_series_diagnostics(inst: GameInstance, horizon: int) -> tuple:
