@@ -328,7 +328,7 @@ def _classify_bounded_gap(instance: GameInstance, horizon: int) -> Verdict | Non
     bound = bounded_memory_gap(instance.spec.b_spec)
     if bound is None:
         return None
-    observed = max(i - instance.b_at(i) for i in range(1, horizon + 1))
+    observed = instance.memory_gap_range(horizon)[1]
     # The symbolic bound covers every index, so the scan can never beat it.
     if observed > bound:
         raise VerificationFailed(

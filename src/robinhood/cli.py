@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -259,12 +260,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     b_spec = _parse_memory_spec(args.memory_b)
     instance = separating_instance(b_spec, args.steps, digit_budget=budget)
     report = verify_separation(instance, digit_budget=budget)
-    paths = write_instance_files(instance, args.out)
+    text = functools.cache(decimal_str)  # the files already convert the last r
+    paths = write_instance_files(instance, args.out, text)
     _emit(
         {
             "files": paths,
             "steps": instance.steps,
-            "last_removal_digits": len(decimal_str(instance.r_table[-1])),
+            "last_removal_digits": len(text(instance.r_table[-1])),
             "verification": report,
         }
     )
@@ -301,7 +303,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if math.isfinite(z) and abs(z) < args.max_z else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="robinhood", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

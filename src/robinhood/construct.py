@@ -31,8 +31,9 @@ aborts oversized requests with LimitExceeded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .analysis import (
     KIND_ROBIN_SURELY,
@@ -83,14 +84,14 @@ class StepCertificate:
     ltilde_b: int | None
     term_b: tuple[int, int] | None  # (numerator, denominator), unreduced
 
-    def as_obj(self) -> dict[str, Any]:
+    def as_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
         term = self.term_b
         return {
             "i": self.i,
-            "r": decimal_str(self.r),
-            "Ltilde_c": decimal_str(self.ltilde_c),
-            "Ltilde_b": decimal_str(self.ltilde_b) if self.ltilde_b is not None else None,
-            "term_b": f"{decimal_str(term[0])}/{decimal_str(term[1])}" if term is not None else None,
+            "r": text(self.r),
+            "Ltilde_c": text(self.ltilde_c),
+            "Ltilde_b": text(self.ltilde_b) if self.ltilde_b is not None else None,
+            "term_b": f"{text(term[0])}/{text(term[1])}" if term is not None else None,
         }
 
 
@@ -131,13 +132,13 @@ class SeparationInstance:
             provenance=self._provenance("c"),
         )
 
-    def certificate_obj(self) -> dict[str, Any]:
+    def certificate_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
         return {
             "deviation": DEVIATION_NOTE,
             "steps": self.steps,
-            "memory_b": self.b_spec.to_obj(),
-            "memory_c": self.c_spec.to_obj(),
-            "per_index": [cert.as_obj() for cert in self.certificates],
+            "memory_b": self.b_spec.to_obj(text),
+            "memory_c": self.c_spec.to_obj(text),
+            "per_index": [cert.as_obj(text) for cert in self.certificates],
         }
 
 
@@ -407,12 +408,17 @@ def verify_separation(
     }
 
 
-def write_instance_files(instance: SeparationInstance, out_path: str) -> dict[str, str]:
+def write_instance_files(
+    instance: SeparationInstance, out_path: str, text: Callable[[int], str] | None = None
+) -> dict[str, str]:
     """Write the three canonical-JSON artifacts next to ``out_path``.
 
     ``out.json`` becomes ``out.b.json`` (schedule under b), ``out.c.json``
     (schedule under c), and ``out.cert.json`` (per-index certificates).
+    The files share most integers, so each distinct value is converted once,
+    by ``text`` or else by a memoized ``decimal_str``.
     """
+    text = text or functools.cache(decimal_str)
     stem = out_path[:-5] if out_path.endswith(".json") else out_path
     paths = {
         "b": f"{stem}.b.json",
@@ -420,9 +426,9 @@ def write_instance_files(instance: SeparationInstance, out_path: str) -> dict[st
         "certificate": f"{stem}.cert.json",
     }
     contents = {
-        "b": instance.schedule_b().to_obj(),
-        "c": instance.schedule_c().to_obj(),
-        "certificate": instance.certificate_obj(),
+        "b": instance.schedule_b().to_obj(text),
+        "c": instance.schedule_c().to_obj(text),
+        "certificate": instance.certificate_obj(text),
     }
     for key, path in paths.items():
         with open(path, "w", encoding="utf-8") as fh:

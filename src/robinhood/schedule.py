@@ -28,12 +28,12 @@ reports them relative to a horizon:
 
 from __future__ import annotations
 
+import decimal
 import json
-import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
@@ -50,34 +50,61 @@ DEFAULT_HORIZON_CAP = 10_000
 _KINDS = ("constant", "affine", "table", "generated")
 
 
-def decimal_str(n: int) -> str:
-    """``str(n)`` with the interpreter's int-to-str digit cap lifted.
+def _to_decimal(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """n (0 <= n < 2**bits) as an exact Decimal, split at a power of two and recombined."""
+    if bits <= 4096:
+        return decimal.Decimal(n)
+    half = bits >> 1
+    hi = n >> half
+    if half not in powers:
+        powers[half] = decimal.Decimal(2) ** half
+    return _to_decimal(hi, bits - half, powers) * powers[half] + _to_decimal(n - (hi << half), half, powers)
 
-    Generated schedules carry values far past the default 4300-digit cap,
-    so serialization must not depend on it. Small values convert directly;
-    larger ones lift the cap, which is process-global, so that path is not
-    thread-safe. That is fine for this package's usage.
+
+def decimal_str(n: int) -> str:
+    """``str(n)`` at any size in subquadratic time; thread-safe, as it never touches the digit cap.
+
+    Up to 2000 bits (603 digits, below every allowed cap) this is ``str``. Larger
+    values are split at powers of two into parts of at most 4096 bits, which
+    become exact Decimals, recombined as ``hi * 2**k + lo`` by Decimal's
+    subquadratic arithmetic in a thread-local context that traps ``Inexact``
+    (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.7).
     """
-    if abs(n).bit_length() <= 2000:  # at most 603 digits; no cap is below 640
+    m = abs(n)
+    if m.bit_length() <= 2000:
         return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(_to_decimal(m, m.bit_length(), {}))
+    return "-" + text if n < 0 else text
+
+
+def _from_digits(text: str, lo: int, hi: int, powers: dict[int, int]) -> int:
+    """The ASCII digits text[lo:hi] as an int: halves recombined as lo + hi * 10**k."""
+    if hi - lo <= 600:
+        return int(text[lo:hi])
+    k = (hi - lo) >> 1
+    if k not in powers:
+        powers[k] = 5**k
+    return _from_digits(text, hi - k, hi, powers) + ((_from_digits(text, lo, hi - k, powers) * powers[k]) << k)
 
 
 def parse_decimal(text: str) -> int:
-    """``int(text, 10)`` with the str-to-int digit cap lifted for long text."""
-    if len(text) <= 640:  # the lowest cap Python allows
+    """The integer written by ``text`` in the grammar ``-?[0-9]+`` (ASCII only), else ValueError.
+
+    Up to 640 characters (the lowest digit cap Python allows) this is ``int``.
+    Longer digit strings are split in halves down to slices of at most 600
+    digits, recombined as ``lo + ((hi * 5**k) << k)`` by subquadratic int
+    multiplication. The digit cap is never touched, so this is thread-safe.
+    """
+    start = 1 if text[:1] == "-" else 0
+    if not (text.isascii() and text[start:].isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    if len(text) <= 640:
         return int(text, 10)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return int(text, 10)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    n = _from_digits(text, start, len(text), {})
+    return -n if start else n
 
 
 def _require_int(value: Any, path: str) -> int:
@@ -182,8 +209,8 @@ class FunctionSpec:
             return (value, max(from_index, len(self.values) + 1))  # type: ignore[arg-type]
         return None
 
-    def to_obj(self) -> dict[str, Any]:
-        """JSON-ready dict (generated values become decimal strings)."""
+    def to_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
+        """JSON-ready dict (generated values become decimal strings, through ``text``)."""
         if self.kind == "constant":
             return {"kind": "constant", "value": self.value}
         if self.kind == "affine":
@@ -192,10 +219,10 @@ class FunctionSpec:
             return {
                 "kind": "table",
                 "values": list(self.values),  # type: ignore[arg-type]
-                "tail": self.tail.to_obj(),  # type: ignore[union-attr]
+                "tail": self.tail.to_obj(text),  # type: ignore[union-attr]
             }
         if self.kind == "generated":
-            return {"kind": "generated", "values": [decimal_str(v) for v in self.values]}  # type: ignore[union-attr]
+            return {"kind": "generated", "values": [text(v) for v in self.values]}  # type: ignore[union-attr]
         raise SpecInvalid(f"unknown function kind {self.kind!r}")
 
 
@@ -257,11 +284,11 @@ class ScheduleSpec:
     b_spec: FunctionSpec
     provenance: Mapping[str, Any] | None = field(default=None, compare=False)
 
-    def to_obj(self) -> dict[str, Any]:
+    def to_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
         obj: dict[str, Any] = {
-            "r": self.r_spec.to_obj(),
-            "s": self.s_spec.to_obj(),
-            "b": self.b_spec.to_obj(),
+            "r": self.r_spec.to_obj(text),
+            "s": self.s_spec.to_obj(text),
+            "b": self.b_spec.to_obj(text),
         }
         if self.provenance is not None:
             obj["provenance"] = dict(self.provenance)
@@ -386,7 +413,9 @@ class GameInstance:
     b(i+1) > b(i) + 1 over all materialized indices, and, over the valid
     prefix, the nights ``restriction2_violations`` with Ltilde(i) <= r(i)
     and the nights ``window_dips`` with Ltilde(i) < r(i), on which
-    oldest-first removal reaches into the memory window.
+    oldest-first removal reaches into the memory window. It also records the
+    nights on which the memory gap i - b(i) ties or beats its running
+    maximum and minimum, so ``memory_gap_range`` is one bisection each.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -403,6 +432,8 @@ class GameInstance:
         "restriction1_first_violation",
         "restriction2_violations",
         "window_dips",
+        "_gap_highs",
+        "_gap_lows",
         "_r",
         "_s",
         "_b",
@@ -438,6 +469,12 @@ class GameInstance:
         sum_s: list[int] = [0] * (cap + 1)
         sum_r: list[int] = [0] * (cap + 1)
         first_invalid: int | None = None
+        first_break: int | None = None
+        # Nights where i - b(i) reaches its running max (min) so far; the
+        # gap is at least 0 and at most cap.
+        high_edges, low_edges = array("q"), array("q")
+        high = low = False
+        gap_max, gap_min, gap = 0, cap, 0
 
         limit = budget_bits(digit_budget)
         acc_s = 0
@@ -452,6 +489,17 @@ class GameInstance:
             s_vals[i] = si
             # Clamp to [0, i]; the raw value is only needed for validity.
             b_vals[i] = min(bi_raw, i) if bi_raw >= 0 else 0
+            # b(i) > b(i-1) + 1 exactly when the gap i - b(i) shrinks.
+            prev, gap = gap, i - b_vals[i]
+            if gap < prev and first_break is None:
+                first_break = i - 1
+            if (gap >= gap_max) is not high:
+                high = not high
+                high_edges.append(i)
+            if (gap <= gap_min) is not low:
+                low = not low
+                low_edges.append(i)
+            gap_max, gap_min = gap if high else gap_max, gap if low else gap_min
             acc_s += si
             acc_r += ri
             if max(acc_s, acc_r).bit_length() > limit:
@@ -466,10 +514,10 @@ class GameInstance:
         self._sum_s = sum_s
         self._sum_r = sum_r
         self.first_invalid_index = first_invalid
+        self.restriction1_first_violation = first_break
+        self._gap_highs = NightRuns(high_edges)
+        self._gap_lows = NightRuns(low_edges)
 
-        self.restriction1_first_violation = next(
-            (i for i in range(1, cap) if b_vals[i + 1] > b_vals[i] + 1), None
-        )
         r2_edges, dip_edges = array("q"), array("q")
         r2 = dip = False
         valid_end = self.valid_end(cap)
@@ -616,6 +664,14 @@ class GameInstance:
             d += 1
         return cuts
 
+    def memory_gap_range(self, horizon: int) -> tuple[int, int]:
+        """(min, max) of i - b(i) over 1 <= i <= horizon: each is the gap on the
+        last night up to horizon that tied or beat the running extreme."""
+        if not 1 <= horizon <= self.horizon_cap:
+            raise IndexBeyondHorizon(f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance")
+        lo, hi = self._gap_lows.last(horizon), self._gap_highs.last(horizon)
+        return lo - self._b[lo], hi - self._b[hi]  # type: ignore[operator]
+
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""
         if not (1 <= horizon <= self.horizon_cap):
@@ -629,9 +685,7 @@ class GameInstance:
         validity_ok = first_invalid is None
         r1_violation = None if self.restriction1_holds(horizon) else self.restriction1_first_violation
 
-        gaps = [i - self._b[i] for i in range(1, horizon + 1)]
-        gap_max = max(gaps)
-        grew = gap_max > min(gaps)
+        gap_min, gap_max = self.memory_gap_range(horizon)
 
         return RestrictionReport(
             horizon=horizon,
@@ -641,7 +695,7 @@ class GameInstance:
             restriction1_first_violation=r1_violation,
             restriction2_last_violation=self.restriction2_violations.last(horizon),
             i_minus_b_max=gap_max,
-            i_minus_b_grew=grew,
+            i_minus_b_grew=gap_max > gap_min,
         )
 
 

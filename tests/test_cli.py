@@ -340,6 +340,34 @@ def test_usage_errors_map_to_exit_one(capsys) -> None:
     capsys.readouterr()
 
 
+def _fresh_parser_outputs(capsys, calls: list[list[str]]) -> list[tuple[int, str, str]]:
+    outputs = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        code = dispatch(argv)
+        outputs.append((code, *capsys.readouterr()))
+    return outputs
+
+
+def test_the_cached_parser_prints_what_fresh_parsers_print(sched, capsys) -> None:
+    calls = [
+        ["survival", sched, "--day", "1"],  # usage error: --horizon is missing
+        ["survival", sched, "--day", "1", "--horizon", "5"],
+        ["validate", sched, "--horizon", "4"],
+        ["simulate", sched, "--nights", "3", "--tag-day", "1", "--tag-day", "2"],
+        ["simulate", sched, "--nights", "3"],
+        ["classify", sched],
+    ]
+    fresh = _fresh_parser_outputs(capsys, calls)
+    assert fresh[0][0] == 1 and "argument error" in fresh[0][2]
+    cached = []
+    for argv in calls:
+        code = dispatch(argv)
+        cached.append((code, *capsys.readouterr()))
+    assert cli.build_parser.cache_info().hits >= len(calls) - 1
+    assert cached == fresh
+
+
 def test_memory_spec_from_json_file(tmp_path, capsys) -> None:
     spec_path = tmp_path / "b.json"
     spec_path.write_text(json.dumps({"kind": "constant", "value": 1}), encoding="utf-8")

@@ -21,6 +21,7 @@ from robinhood import (
     verify_separation,
     write_instance_files,
 )
+from robinhood.schedule import canonical_dumps
 
 
 def test_three_step_memoryless_hand_values() -> None:
@@ -150,6 +151,22 @@ def test_written_files_roundtrip_through_the_parser(tmp_path) -> None:
     assert len(cert["per_index"]) == 5
     assert cert["memory_b"] == {"kind": "constant", "value": 1}
     assert cert["memory_c"] == {"kind": "constant", "value": 2}
+
+
+@pytest.mark.parametrize("memory", [0, 2])
+def test_written_files_equal_one_conversion_per_object(tmp_path, memory) -> None:
+    # Nine steps put the largest values past the long conversion paths.
+    gen = separating_instance(FunctionSpec.constant(memory), 9)
+    assert gen.s_table[-1].bit_length() > 4096
+    paths = write_instance_files(gen, str(tmp_path / "sep.json"))
+    expected = {
+        "b": gen.schedule_b().to_obj(),
+        "c": gen.schedule_c().to_obj(),
+        "certificate": gen.certificate_obj(),
+    }
+    for key, path in paths.items():
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == canonical_dumps(expected[key]) + "\n"
 
 
 def test_playable_horizon_shrinks_with_larger_memory() -> None:

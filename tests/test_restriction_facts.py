@@ -25,7 +25,7 @@ from robinhood import (
     run_trace,
     survival_curve,
 )
-from robinhood.analysis import _classify_convergent, _classify_pinned_pool
+from robinhood.analysis import _classify_bounded_gap, _classify_convergent, _classify_pinned_pool
 
 
 def _function(draw, values: list[int], lo: int, hi: int) -> FunctionSpec:
@@ -71,6 +71,10 @@ def ref_restriction1(inst: GameInstance, horizon: int) -> int | None:
         if inst._b[i + 1] > inst._b[i] + 1:
             return i
     return None
+
+
+def ref_memory_gaps(inst: GameInstance, horizon: int) -> list[int]:
+    return [i - inst._b[i] for i in range(1, horizon + 1)]
 
 
 def ref_restriction2_last(inst: GameInstance, horizon: int) -> int | None:
@@ -255,3 +259,32 @@ def test_oldest_det_removal_nights_follow_the_fifo_rank(inst: GameInstance) -> N
         rank = arrived_before[bag.day - 1] + bag.pos
         expected = next((i for i in range(1, nights + 1) if removed_through[i] >= rank), None)
         assert bag.removed_night == expected
+
+
+@st.composite
+def memory_gap_instances(draw) -> GameInstance:
+    """Any table/affine memory spec, negative and non-monotone values included."""
+    values = draw(st.lists(st.integers(-2, 12), max_size=16))
+    tail = draw(
+        st.one_of(
+            st.builds(FunctionSpec.affine, st.integers(-1, 3), st.integers(-6, 6)),
+            st.builds(FunctionSpec.constant, st.integers(0, 8)),
+        )
+    )
+    b_spec = draw(st.sampled_from([FunctionSpec.table(values, tail), tail]))
+    spec = ScheduleSpec(FunctionSpec.constant(1), FunctionSpec.constant(3), b_spec)
+    return GameInstance(spec, horizon_cap=draw(st.integers(1, 30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(memory_gap_instances())
+def test_memory_gap_facts_match_a_rescan_at_every_prefix(inst: GameInstance) -> None:
+    for horizon in range(1, inst.horizon_cap + 1):
+        gaps = ref_memory_gaps(inst, horizon)
+        assert inst.memory_gap_range(horizon) == (min(gaps), max(gaps))
+        report = inst.check_restrictions(horizon)
+        assert (report.i_minus_b_max, report.i_minus_b_grew) == (max(gaps), max(gaps) > min(gaps))
+        assert report.restriction1_first_violation == ref_restriction1(inst, horizon)
+        verdict = _outcome(_classify_bounded_gap, inst, horizon)
+        if verdict is not None and not isinstance(verdict, type):
+            assert verdict.certificate["max_observed_gap"] == max(gaps)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+import time
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinhood import (
@@ -139,12 +142,97 @@ def test_decimal_conversions_work_under_the_lowest_cap_and_restore_it(lowest_dig
 
 
 def test_small_decimal_conversions_leave_the_digit_cap_alone(monkeypatch) -> None:
+    # Large values too: no conversion of any size touches the cap.
     calls = []
     monkeypatch.setattr(sys, "set_int_max_str_digits", calls.append)
-    for n in (0, 7, -12345, 2**2000 - 1, -(2**2000 - 1)):
+    for n in (0, 7, -12345, 2**2000 - 1, -(2**2000 - 1), 2**5000 + 1, 10**100_000 - 3, -(10**100_000 - 3)):
         assert parse_decimal(decimal_str(n)) == n
     assert parse_decimal("9" * 640) == 10**640 - 1
+    assert parse_decimal("-" + "9" * 5000) == -(10**5000 - 1)
     assert calls == []
+
+
+@contextmanager
+def builtin_digit_cap_lifted():
+    """For the builtin ``str``/``int`` this test compares against."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _boundary_magnitudes():
+    """Magnitudes at the kernels' switch points and at powers of 2 and 10."""
+    bits = st.sampled_from([1, 2000, 2001, 4096, 4097, 8192, 8193]) | st.integers(1, 500_000)
+    digits = st.sampled_from([639, 640, 641, 1233, 1234]) | st.integers(1, 150_000)
+    return st.one_of(
+        st.builds(lambda k, d: (1 << k) + d, bits, st.sampled_from([-1, 0, 1])),
+        st.builds(lambda k, d: 10**k + d, digits, st.sampled_from([-1, 0])),
+        # Random values of exactly k bits.
+        st.builds(lambda k, seed: random.Random(seed).getrandbits(k) | 1 << (k - 1), bits, st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boundary_magnitudes(), st.booleans())
+@example(0, False)
+@example(10**640 - 1, True)  # 640 digits and a sign: 641 characters
+@example(10**639, False)  # 640 characters
+@example((1 << 500_000) + 1, True)
+@example(10**150_000 - 1, False)
+def test_decimal_conversions_round_trip_at_every_size(magnitude, negative) -> None:
+    n = -magnitude if negative else magnitude
+    text = decimal_str(n)
+    with builtin_digit_cap_lifted():
+        assert text == str(n)
+    assert parse_decimal(text) == n
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda digits: "+" + digits,
+        lambda digits: " " + digits,
+        lambda digits: digits + "\n",
+        lambda digits: digits[:1] + "_" + digits[1:],
+        lambda digits: "--" + digits,
+        lambda digits: digits + "-",
+        lambda digits: "\uff18" + digits,  # FULLWIDTH DIGIT EIGHT
+        lambda digits: digits[:-1] + "\u0669",  # ARABIC-INDIC DIGIT NINE
+    ],
+)
+@pytest.mark.parametrize("length", [2, 700])
+def test_generated_values_accept_only_ascii_minus_digits(form, length) -> None:
+    text = form("8" * length)
+    with pytest.raises(ValueError):
+        parse_decimal(text)
+    with pytest.raises(SpecInvalid, match=r"s\.values\[1\]: not a decimal integer"):
+        parse_function({"kind": "generated", "values": ["8", text]}, "s")
+
+
+@pytest.mark.parametrize("text", ["", "-", "-" + "8" * 700 + " "])
+def test_empty_or_sign_only_text_is_not_a_decimal(text) -> None:
+    with pytest.raises(ValueError):
+        parse_decimal(text)
+
+
+def test_conversion_kernels_beat_the_quadratic_builtins() -> None:
+    n = 3 ** 252_000 + 1  # about 4e5 bits, 120 000 digits
+    text = decimal_str(n)
+
+    def best_of_3(fn, arg):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn(arg)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    with builtin_digit_cap_lifted():
+        assert best_of_3(decimal_str, n) < 0.5 * best_of_3(str, n)
+        assert best_of_3(parse_decimal, text) < 0.5 * best_of_3(int, text)
 
 
 # ---------------------------------------------------------------- levels
