@@ -409,10 +409,11 @@ def _classify_divergent(instance: GameInstance, horizon: int) -> Verdict | None:
         "eventual_b": b0,
         "affine_from_index": anchor,
         "very_old_slope": slope,
-        "very_old_intercept": str(intercept),
+        "very_old_intercept": decimal_str(intercept),
         "restriction2_holds_from": holds_from,
         "witness": (
-            f"for i >= {holds_from}: term(i) = {r0}/({slope}*i + {intercept}),"
+            f"for i >= {decimal_str(holds_from)}: term(i) ="
+            f" {decimal_str(r0)}/({decimal_str(slope)}*i + {decimal_str(intercept)}),"
             " a divergent harmonic comparison"
         ),
     }

@@ -52,6 +52,7 @@ from .schedule import (
     decimal_str,
     load_schedule,
     parse_function,
+    read_json,
 )
 
 #: Fixed default seed (overridable via --seed or RH_SEED), not time-based.
@@ -241,18 +242,7 @@ def _parse_memory_spec(text: str) -> FunctionSpec:
         if value < 0:
             raise SpecInvalid(f"--memory-b constant must be nonnegative, got {value}")
         return FunctionSpec.constant(value)
-    import json
-
-    try:
-        with open(text, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SpecInvalid(f"cannot read memory spec {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecInvalid(
-            f"{text}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return parse_function(obj, "memory-b")
+    return parse_function(read_json(text, "memory spec"), "memory-b")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

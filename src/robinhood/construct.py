@@ -142,13 +142,20 @@ class SeparationInstance:
         }
 
 
+def _show(value: Any) -> str:
+    """``str(value)``, with ints, also in a pair, written by ``decimal_str`` at any size."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_show, value)) + ")"
+    return decimal_str(value) if isinstance(value, int) else str(value)
+
+
 def _memory_values(b_spec: FunctionSpec, upto: int) -> list[int]:
     """Clamped memory values b(1)..b(upto); index 0 unused."""
     values = [0] * (upto + 1)
     for i in range(1, upto + 1):
         raw = b_spec.value_at(i)
         if raw < 0:
-            raise SpecInvalid(f"memory bound b({i}) = {raw} is negative")
+            raise SpecInvalid(f"memory bound b({i}) = {_show(raw)} is negative")
         values[i] = min(raw, i)
     return values
 
@@ -219,7 +226,7 @@ def separating_instance(
         for j in range(checked_through + 1, limit + 1):
             if not r_table[j - 1] < s_table[j - 1]:
                 raise ValidityViolated(
-                    f"generated r({j}) = {r_table[j - 1]} >= s({j}) = {s_table[j - 1]}"
+                    f"generated r({j}) = {_show(r_table[j - 1])} >= s({j}) = {_show(s_table[j - 1])}"
                 )
         checked_through = limit
 
@@ -285,7 +292,7 @@ def verify_separation(
     for j in range(1, min(len(r_table), len(s_table)) + 1):
         if not 1 <= r_table[j - 1] < s_table[j - 1]:
             raise ValidityViolated(
-                f"r({j}) = {r_table[j - 1]} >= s({j}) = {s_table[j - 1]}"
+                f"r({j}) = {_show(r_table[j - 1])} >= s({j}) = {_show(s_table[j - 1])}"
             )
 
     b_vals = _memory_values(instance.b_spec, steps)
@@ -333,24 +340,24 @@ def verify_separation(
         i = cert.i
         r_i = r_table[i - 1]
         if cert.r != r_i:
-            raise _fail("stored removal value", i, f"{cert.r} != {r_i}")
+            raise _fail("stored removal value", i, f"{_show(cert.r)} != {_show(r_i)}")
 
         lc = ltilde(i, c_vals_direct[i])
         if lc is None or cert.ltilde_c != lc:
-            raise _fail("stored Ltilde_c", i, f"{cert.ltilde_c} != recomputed {lc}")
+            raise _fail("stored Ltilde_c", i, f"{_show(cert.ltilde_c)} != recomputed {_show(lc)}")
         if not lc <= r_i:
-            raise _fail("pinned pool under c", i, f"Ltilde_c({i}) = {lc} > r({i}) = {r_i}")
+            raise _fail("pinned pool under c", i, f"Ltilde_c({i}) = {_show(lc)} > r({i}) = {_show(r_i)}")
 
         lb = ltilde(i, b_vals[i])
         if cert.ltilde_b != lb:
-            raise _fail("stored Ltilde_b", i, f"{cert.ltilde_b} != recomputed {lb}")
+            raise _fail("stored Ltilde_b", i, f"{_show(cert.ltilde_b)} != recomputed {_show(lb)}")
         if lb is None:
             uncoverable.append(i)
             continue
 
         expected_term = (r_i, lb) if lb > 0 else None
         if cert.term_b != expected_term:
-            raise _fail("stored term", i, f"{cert.term_b} != recomputed {expected_term}")
+            raise _fail("stored term", i, f"{_show(cert.term_b)} != recomputed {_show(expected_term)}")
 
         # Identity Ltilde_b = Ltilde_c + s(i - b(i)) where it is forced:
         # the window under c is exactly one day shorter and the pool under
@@ -365,7 +372,7 @@ def verify_separation(
             raise _fail(
                 "window-slide identity",
                 i,
-                f"Ltilde_b = {lb} != Ltilde_c + s({upper_b}) = {lc + s_table[upper_b - 1]}",
+                f"Ltilde_b = {_show(lb)} != Ltilde_c + s({upper_b}) = {_show(lc + s_table[upper_b - 1])}",
             )
         if eligible and r_i**3 > lb:
             raise _fail("cubed lower bound", i, f"term exceeds 1/r({i})^2")

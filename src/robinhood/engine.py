@@ -11,9 +11,9 @@ Tagged bags keep their exact joint removal law. Bag ``pos`` of day d has
 arrival rank s(1) + ... + s(d-1) + pos, and the deterministic variant is
 FIFO over all arrivals (``GameInstance.fifo_cut``); the randomized one
 resolves the tags inside a partly removed cell by an exact hypergeometric
-draw. Per-cell lists of in-cave tags and the oldest one's index let a night
-read only the tags of the cells its quota touches, and ``oldest-det`` only
-the tags it removes.
+draw. The state lists the in-cave tags once, in arrival order, so a night
+finds the tags of each cell its quota touches as one slice by bisection on
+day, and ``oldest-det`` reads only the tags it removes.
 
 Randomness is addressable: the draw stream for night i of trial t under
 master seed S has key ``stream_key(S, t, i)`` (stream 0 is reserved for bag
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
@@ -92,17 +92,16 @@ class CaveState:
     ``night`` is the last completed night and ``day`` the last day whose
     batch has arrived; ``merge_cutoff`` is the largest arrival day already
     in the very-old pool. ``tagged`` is in id order, which is (day, pos)
-    order; ``tag_front`` indexes its oldest in-cave bag. ``cell_tags`` maps
-    a cell key (a remembered day, or ``VERY_OLD_KEY``) to its in-cave tagged
-    ids in id order, if any.
+    order, and ``in_cave`` lists the ids of its in-cave bags in that order:
+    the pool's tags are the ones of days <= ``merge_cutoff``, and a
+    remembered cell's tags are the ones of its day.
     """
 
     night: int = 0
     day: int = 0
     merge_cutoff: int = 0
     tagged: list[TaggedBag] = field(default_factory=list)
-    cell_tags: dict[int, list[int]] = field(default_factory=dict)
-    tag_front: int = 0
+    in_cave: list[int] = field(default_factory=list)
     pending_tags: dict[int, list[int]] = field(default_factory=dict)
     next_tag_id: int = 1
 
@@ -110,10 +109,10 @@ class CaveState:
 def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
     """Apply day i: tag the new batch, then age the memory window.
 
-    The tags of arrival days at or below i - b(i) move to the very-old pool.
-    A memory bound that grows by more than one per night would require a
-    forgotten day to re-enter the window, which the oldest-first cells
-    cannot represent — that raises RestrictionViolated.
+    Arrival days at or below i - b(i) form the very-old pool. A memory
+    bound that grows by more than one per night would require a forgotten
+    day to re-enter the window, which the oldest-first cells cannot
+    represent — that raises RestrictionViolated.
     """
     if i != state.night + 1 or state.day == i:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
@@ -123,9 +122,11 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
 
     for pos in sorted(state.pending_tags.pop(i, ())):  # ids in position order
         if not (1 <= pos <= s_i):
-            raise SpecInvalid(f"tag position {pos} outside day {i}'s batch of size {s_i}")
+            raise SpecInvalid(
+                f"tag position {decimal_str(pos)} outside day {i}'s batch of size {decimal_str(s_i)}"
+            )
         state.tagged.append(TaggedBag(id=state.next_tag_id, day=i, pos=pos))
-        state.cell_tags.setdefault(i, []).append(state.next_tag_id)
+        state.in_cave.append(state.next_tag_id)
         state.next_tag_id += 1
 
     cutoff = i - b_i
@@ -134,9 +135,6 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
             f"memory bound at night {i} would re-admit forgotten days"
             f" (cutoff {cutoff} < previously merged {state.merge_cutoff})"
         )
-    for d in range(state.merge_cutoff + 1, cutoff + 1):
-        if d in state.cell_tags:  # pool days are older: id order holds
-            state.cell_tags.setdefault(VERY_OLD_KEY, []).extend(state.cell_tags.pop(d))
     state.merge_cutoff = cutoff
     state.day = i
     return state
@@ -235,23 +233,25 @@ def select_removals(
         raise SpecInvalid("randomized strategy needs an rng stream")
     cuts = instance.night_cuts(i)
 
-    removed_tagged = []
+    in_cave = state.in_cave
+
+    def rank(bag_id: int) -> tuple[int, int]:
+        bag = state.tagged[bag_id - 1]
+        return bag.day, bag.pos
+
+    # in_cave is in (day, pos) order: FIFO reaches a run from its front, and a
+    # cell's tags, those of days key..key (1..merge_cutoff for the pool), are
+    # one run in it.
     if strategy is StrategyKind.OLDEST_DET:
-        # tagged is in (day, pos) order, so FIFO reaches a run from the front.
-        cut = instance.fifo_cut(i)
-        for k in range(state.tag_front, len(state.tagged)):
-            b = state.tagged[k]
-            if (b.day, b.pos) > cut:
-                break
-            if b.removed_night is None:
-                removed_tagged.append(b.id)
+        removed_tagged = in_cave[: bisect_right(in_cave, instance.fifo_cut(i), key=rank)]
     else:
-        # Whole cells draw nothing: sample_hypergeom and the subset choice
-        # are forced when the take is the whole count.
+        removed_tagged = []
         for key, count, take in cuts:
-            tags = state.cell_tags.get(key, ())
-            j = sample_hypergeom(count, len(tags), take, rng)
-            removed_tagged.extend(tags[k] for k in _choose_uniform_subset(len(tags), j, rng))
+            lo = bisect_left(in_cave, (key, 0), key=rank)
+            t = bisect_left(in_cave, ((key or state.merge_cutoff) + 1, 0), lo, key=rank) - lo
+            # A whole cell draws nothing: both draws are forced.
+            j = sample_hypergeom(count, t, take, rng)
+            removed_tagged.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
 
     return RemovalPlan(night=i, cells=[(key, take) for key, _, take in cuts], removed_tagged=removed_tagged)
 
@@ -268,13 +268,7 @@ def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
         if not bag.in_cave:
             raise SpecInvalid(f"plan removes tagged bag {bag_id} twice")
         bag.removed_night = plan.night
-        key = VERY_OLD_KEY if bag.day <= state.merge_cutoff else bag.day
-        ids = state.cell_tags[key]
-        del ids[bisect_left(ids, bag_id)]
-        if not ids:
-            del state.cell_tags[key]
-    while state.tag_front < len(state.tagged) and state.tagged[state.tag_front].removed_night is not None:
-        state.tag_front += 1
+        del state.in_cave[bisect_left(state.in_cave, bag_id)]
 
     state.night = plan.night
     return state
@@ -302,14 +296,15 @@ class Trace:
 def _normalize_tags(tagged_days: Iterable[int | tuple[int, int]]) -> dict[int, list[int]]:
     pending: dict[int, list[int]] = {}
     for item in tagged_days:
-        if isinstance(item, tuple):
+        if isinstance(item, tuple) and len(item) == 2:
             day, pos = item
         else:
             day, pos = item, 1
-        if day < 1:
-            raise SpecInvalid(f"tag day must be >= 1, got {day}")
-        if pos < 1:
-            raise SpecInvalid(f"tag position must be >= 1, got {pos}")
+        for name, value in (("day", day), ("position", pos)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecInvalid(f"tag {name} must be an integer, got {value!r}")
+            if value < 1:
+                raise SpecInvalid(f"tag {name} must be >= 1, got {decimal_str(value)}")
         pending.setdefault(day, []).append(pos)
     for day, positions in pending.items():
         positions.sort()
@@ -328,7 +323,9 @@ def _require_traceable(instance: GameInstance, nights: int, pending: dict[int, l
         instance.require_playable(d - 1)
         s_d = instance.s_at(d)
         if pending[d][-1] > s_d:
-            raise SpecInvalid(f"tag position {pending[d][-1]} outside day {d}'s batch of size {s_d}")
+            raise SpecInvalid(
+                f"tag position {decimal_str(pending[d][-1])} outside day {d}'s batch of size {decimal_str(s_d)}"
+            )
     instance.require_playable(nights)
 
 
@@ -375,7 +372,7 @@ def run_trace(
         "nights": nights,
         "label_mode": label_mode,
         "schedule": instance.spec.to_obj(),
-        "tags": sorted([day, str(pos)] for day, ps in pending.items() for pos in ps),
+        "tags": sorted([day, decimal_str(pos)] for day, ps in pending.items() for pos in ps),
     }
     lines: list[str] = []
     hasher = hashlib.sha256()

@@ -324,16 +324,22 @@ def canonical_dumps(obj: Any) -> str:
     return _CANONICAL_ENCODER.encode(obj)
 
 
-def load_schedule(path: str) -> ScheduleSpec:
-    """Read and parse a schedule JSON file."""
+def read_json(path: str, what: str) -> Any:
+    """The JSON value in the file ``what`` at ``path``; any read or decode failure is SpecInvalid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SpecInvalid(f"cannot read schedule file {path!r}: {exc}") from exc
+        raise SpecInvalid(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecInvalid(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_schedule(obj)
+    except ValueError as exc:  # undecodable UTF-8, or an int literal past the digit cap
+        raise SpecInvalid(f"{path}: unreadable JSON: {exc}") from exc
+
+
+def load_schedule(path: str) -> ScheduleSpec:
+    """Read and parse a schedule JSON file."""
+    return parse_schedule(read_json(path, "schedule file"))
 
 
 @dataclass(frozen=True)
@@ -404,9 +410,10 @@ class NightRuns:
 class GameInstance:
     """A schedule materialized on indices 1..horizon_cap.
 
-    Values and prefix sums are computed eagerly at construction (exact
-    integers, guarded by ``digit_budget``), so the instance is immutable
-    afterwards and safe for concurrent readers.
+    The clamped b(i) and the prefix sums S(i) and R(i) of s and r are computed
+    eagerly, in one pass (exact integers, guarded by ``digit_budget``); every
+    other value, s(i) = S(i) - S(i-1) included, is read from them. The
+    instance is immutable afterwards and safe for concurrent readers.
 
     Construction also records the restriction facts every caller reads
     instead of scanning: ``restriction1_first_violation``, the first i with
@@ -434,8 +441,6 @@ class GameInstance:
         "window_dips",
         "_gap_highs",
         "_gap_lows",
-        "_r",
-        "_s",
         "_b",
         "_sum_s",
         "_sum_r",
@@ -463,8 +468,6 @@ class GameInstance:
         self.horizon_cap = cap
 
         # Index 0 is a placeholder so value arrays are 1-based like the game.
-        r_vals: list[int] = [0] * (cap + 1)
-        s_vals: list[int] = [0] * (cap + 1)
         b_vals: list[int] = [0] * (cap + 1)
         sum_s: list[int] = [0] * (cap + 1)
         sum_r: list[int] = [0] * (cap + 1)
@@ -475,6 +478,8 @@ class GameInstance:
         high_edges, low_edges = array("q"), array("q")
         high = low = False
         gap_max, gap_min, gap = 0, cap, 0
+        r2_edges, dip_edges = array("q"), array("q")
+        r2 = dip = False
 
         limit = budget_bits(digit_budget)
         acc_s = 0
@@ -485,8 +490,6 @@ class GameInstance:
             bi_raw = spec.b_spec.value_at(i)
             if first_invalid is None and not (1 <= ri < si and bi_raw >= 0):
                 first_invalid = i
-            r_vals[i] = ri
-            s_vals[i] = si
             # Clamp to [0, i]; the raw value is only needed for validity.
             b_vals[i] = min(bi_raw, i) if bi_raw >= 0 else 0
             # b(i) > b(i-1) + 1 exactly when the gap i - b(i) shrinks.
@@ -507,9 +510,17 @@ class GameInstance:
                 guard_digits(acc_r, digit_budget, context=f"sum of removals through night {i}")
             sum_s[i] = acc_s
             sum_r[i] = acc_r
+            if first_invalid is None:
+                # Ltilde(i) before its clamp at zero; r(i) >= 1 on valid days
+                # makes the clamp irrelevant to both comparisons.
+                pool = sum_s[gap] - sum_r[i - 1]
+                if (pool <= ri) is not r2:
+                    r2 = not r2
+                    r2_edges.append(i)
+                if (pool < ri) is not dip:
+                    dip = not dip
+                    dip_edges.append(i)
 
-        self._r = r_vals
-        self._s = s_vals
         self._b = b_vals
         self._sum_s = sum_s
         self._sum_r = sum_r
@@ -517,21 +528,8 @@ class GameInstance:
         self.restriction1_first_violation = first_break
         self._gap_highs = NightRuns(high_edges)
         self._gap_lows = NightRuns(low_edges)
-
-        r2_edges, dip_edges = array("q"), array("q")
-        r2 = dip = False
+        # Both restriction-2 conditions stop at the end of the valid prefix.
         valid_end = self.valid_end(cap)
-        for i in range(1, valid_end + 1):
-            # Ltilde(i) before its clamp at zero; r(i) >= 1 on valid days
-            # makes the clamp irrelevant to both comparisons.
-            pool = sum_s[i - b_vals[i]] - sum_r[i - 1]
-            if (pool <= r_vals[i]) is not r2:
-                r2 = not r2
-                r2_edges.append(i)
-            if (pool < r_vals[i]) is not dip:
-                dip = not dip
-                dip_edges.append(i)
-        # Both conditions stop at the end of the valid prefix.
         for holds, edges in ((r2, r2_edges), (dip, dip_edges)):
             if holds:
                 edges.append(valid_end + 1)
@@ -577,11 +575,11 @@ class GameInstance:
 
     def r_at(self, i: int) -> int:
         self._check_index(i, 1)
-        return self._r[i]
+        return self._sum_r[i] - self._sum_r[i - 1]
 
     def s_at(self, i: int) -> int:
         self._check_index(i, 1)
-        return self._s[i]
+        return self._sum_s[i] - self._sum_s[i - 1]
 
     def b_at(self, i: int) -> int:
         """Memory bound at night i, clamped to min(b(i), i)."""
@@ -591,7 +589,8 @@ class GameInstance:
     def evaluate(self, i: int) -> tuple[int, int, int]:
         """(r(i), s(i), clamped b(i)) for 1 <= i <= horizon_cap."""
         self._check_index(i, 1)
-        return (self._r[i], self._s[i], self._b[i])
+        sum_s, sum_r = self._sum_s, self._sum_r
+        return (sum_r[i] - sum_r[i - 1], sum_s[i] - sum_s[i - 1], self._b[i])
 
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
@@ -600,8 +599,7 @@ class GameInstance:
 
     def very_old_level(self, i: int) -> int:
         """Ltilde(i): very-old bags present when night i begins."""
-        self._check_index(i, 1)
-        return max(0, self._sum_s[i - self._b[i]] - self._sum_r[i - 1])
+        return max(0, self.very_old_level_unclamped(i))
 
     def very_old_level_unclamped(self, i: int) -> int:
         """The inner sum of Ltilde(i) before the max-with-zero clamp."""
@@ -629,14 +627,18 @@ class GameInstance:
         if not 1 <= d <= i <= self.horizon_cap:
             raise IndexBeyondHorizon(f"cell of day {d} on night {i} outside 1 <= d <= i <= {self.horizon_cap}")
         self.require_playable(i)
-        sum_s, sum_r = self._sum_s, self._sum_r
+        before, after = self._sum_r[i - 1], self._sum_r[i]
         cutoff = i - self._b[i]
         if d <= cutoff:
-            count = max(0, sum_s[cutoff] - sum_r[i - 1])
-            return count, min(self._r[i], count)
-        s = self._s[d]
-        count = min(s, max(0, sum_s[d] - sum_r[i - 1]))
-        return count, count - min(s, max(0, sum_s[d] - sum_r[i]))
+            count = max(0, self._sum_s[cutoff] - before)
+            return count, min(after - before, count)
+        count = self._bags_left(d, before)
+        return count, count - self._bags_left(d, after)
+
+    def _bags_left(self, d: int, removed: int) -> int:
+        """How many of day d's bags are still in the cave once FIFO over all
+        arrivals has taken the first ``removed`` of them."""
+        return max(0, self._sum_s[d] - max(self._sum_s[d - 1], removed))
 
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
         """[(key, count, take)]: the cells night i takes from, oldest first, as
@@ -655,12 +657,12 @@ class GameInstance:
         cutoff = i - self._b[i]
         before, after = sum_r[i - 1], sum_r[i]
         pool = max(0, sum_s[cutoff] - before)
-        cuts = [(0, pool, min(self._r[i], pool))] if pool else []
+        cuts = [(0, pool, min(after - before, pool))] if pool else []
         # Arrivals strictly increase on valid days, and S(i) > R(i).
         d = bisect_right(sum_s, before, cutoff + 1, i + 1)
         while sum_s[d - 1] < after:
-            count = min(self._s[d], sum_s[d] - before)
-            cuts.append((d, count, count - max(0, sum_s[d] - after)))
+            count = self._bags_left(d, before)
+            cuts.append((d, count, count - self._bags_left(d, after)))
             d += 1
         return cuts
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from robinhood import GameInstance, classify, load_schedule, survival_probability
 from robinhood import cli
 from robinhood.cli import DEFAULT_SEED, dispatch
-from robinhood.schedule import canonical_dumps
+from robinhood.schedule import canonical_dumps, decimal_str
 
 
 def write_schedule(path, r=1, s=2, b=0) -> str:
@@ -390,3 +390,61 @@ def test_horizons_past_the_default_cap_match_the_library(sched, capsys) -> None:
         code, out = run(capsys, command, sched, "--horizon", str(horizon), *extra)
         assert code == 0
         assert out == canonical_dumps(result.as_dict()) + "\n"
+
+
+def _constant(value: str) -> str:
+    return '{"kind": "constant", "value": ' + value + "}"
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        # json raises a plain ValueError for an integer literal past the
+        # interpreter's digit cap (4300 digits) and for undecodable UTF-8.
+        ("validate", '{"r": ' + _constant("1") + ', "s": ' + _constant("9" * 5000) + "}"),
+        ("validate", b'{"r": \xff}'),
+        ("construct", _constant("9" * 5000)),
+        ("construct", b"\xff"),
+    ],
+    ids=["validate-long-literal", "validate-bad-utf8", "construct-long-literal", "construct-bad-utf8"],
+)
+def test_unreadable_json_files_are_spec_errors(tmp_path, capsys, command, content) -> None:
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    argv = ["validate", str(path)]
+    if command == "construct":
+        argv = ["construct", "--memory-b", str(path), "--steps", "3", "-o", str(tmp_path / "sep")]
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(err)
+    assert out == "" and err == canonical_dumps(error) + "\n"
+    assert error["error"] == "SpecInvalid"
+    assert error["message"].startswith(f"{path}: unreadable JSON: ")
+    assert not list(tmp_path.glob("sep*"))
+
+
+def test_classify_writes_an_intercept_past_the_digit_cap(tmp_path, capsys) -> None:
+    # Twenty 4300-digit arrivals (each at the cap json reads) add up to an
+    # intercept of 4301 digits, past the cap str() writes.
+    values = [10**4299 + k for k in range(20)]
+    text = ",".join(map(decimal_str, values))
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"r": ' + _constant("1") + ', "s": {"kind": "table", "values": [' + text + '], "tail": '
+        + _constant("3") + '}, "b": ' + _constant("2") + "}",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "classify", str(path))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["rule"] == "Thm2.1"
+    # Ltilde(22) = S(20) - R(21) and the very-old level grows by s - r = 2.
+    intercept = sum(values) - 21 - 2 * 22
+    assert len(decimal_str(intercept)) == 4301
+    assert verdict["certificate"]["very_old_intercept"] == decimal_str(intercept)
+    assert verdict["certificate"]["witness"] == (
+        f"for i >= 22: term(i) = 1/(2*i + {decimal_str(intercept)}), a divergent harmonic comparison"
+    )

@@ -21,7 +21,7 @@ from robinhood import (
     verify_separation,
     write_instance_files,
 )
-from robinhood.schedule import canonical_dumps
+from robinhood.schedule import canonical_dumps, decimal_str
 
 
 def test_three_step_memoryless_hand_values() -> None:
@@ -129,6 +129,48 @@ def test_verify_catches_truncated_certificates() -> None:
     gen = separating_instance(FunctionSpec.constant(0), 4)
     with pytest.raises(VerificationFailed):
         verify_separation(replace(gen, certificates=gen.certificates[:-1]))
+
+
+def _tamper_last_certificate(gen, **changes):
+    certs = list(gen.certificates)
+    certs[-1] = replace(certs[-1], **changes)
+    return replace(gen, certificates=tuple(certs))
+
+
+@pytest.mark.parametrize("field", ["s_table", "r", "ltilde_c", "ltilde_b", "term_b"])
+def test_verify_failures_write_values_past_the_digit_cap(field) -> None:
+    # At 11 steps r(11) has about 15 000 digits and Ltilde_b(11) 46 000.
+    gen = separating_instance(FunctionSpec.constant(0), 11)
+    cert = gen.certificates[-1]
+    assert cert.i == len(gen.s_table) == 11 and cert.r > 10**4300
+    error, expected = VerificationFailed, "{} fails at index 11: {} != {}"
+    if field == "s_table":
+        gen = replace(gen, s_table=gen.s_table[:-1] + (cert.r,))
+        error, expected = ValidityViolated, f"r(11) = {decimal_str(cert.r)} >= s(11) = {decimal_str(cert.r)}"
+    elif field == "term_b":
+        num, den = cert.term_b
+        gen = _tamper_last_certificate(gen, term_b=(num + 1, den))
+        expected = expected.format(
+            "stored term",
+            f"({decimal_str(num + 1)}, {decimal_str(den)})",
+            f"recomputed ({decimal_str(num)}, {decimal_str(den)})",
+        )
+    else:
+        value = getattr(cert, field)
+        gen = _tamper_last_certificate(gen, **{field: value + 1})
+        name = {"r": "stored removal value", "ltilde_c": "stored Ltilde_c", "ltilde_b": "stored Ltilde_b"}[field]
+        recomputed = "" if field == "r" else "recomputed "
+        expected = expected.format(name, decimal_str(value + 1), recomputed + decimal_str(value))
+    with pytest.raises(error) as caught:
+        verify_separation(gen)
+    assert str(caught.value) == expected
+
+
+def test_negative_memory_past_the_digit_cap_is_rejected() -> None:
+    b_spec = FunctionSpec.table([-(10**5000)], FunctionSpec.constant(0))
+    with pytest.raises(SpecInvalid) as caught:
+        separating_instance(b_spec, 3)
+    assert str(caught.value) == f"memory bound b(1) = {decimal_str(-(10**5000))} is negative"
 
 
 def test_written_files_roundtrip_through_the_parser(tmp_path) -> None:

@@ -28,11 +28,13 @@ from robinhood import (
     empirical_survival,
     run_trace,
     select_removals,
+    separating_instance,
     step_day,
     survival_probability,
 )
 from robinhood.engine import VERY_OLD_KEY, _choose_uniform_subset, hypergeom_weights, sample_hypergeom
 from robinhood.rng import CounterRNG, stream_key, u01_from_word, word
+from robinhood.schedule import decimal_str
 
 from .conftest import make_instance
 from .count_cascade import CountCascade
@@ -470,6 +472,39 @@ def test_trace_rejects_bad_tags(memoryless_121) -> None:
             run_trace(memoryless_121, strategy, 5, seed=0, tagged_days=[1, (1, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("item", [(2, True), (True, 1), 1.5, (1, 1.0), ("2", 1), (1, 2, 3), None])
+def test_trace_rejects_tags_that_are_not_integers(memoryless_121, item) -> None:
+    # (2, True) was written as [2, "True"] into the header; 1.5 raised TypeError.
+    with pytest.raises(SpecInvalid, match="must be an integer"):
+        run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[item])
+
+
+def test_tag_errors_write_values_past_the_digit_cap() -> None:
+    big = 10**5000
+    inst = make_instance(1, big, 0, horizon_cap=3)
+    outside = "tag position {} outside day {}'s batch of size {}"
+    with pytest.raises(SpecInvalid) as caught:
+        run_trace(inst, RND, 3, seed=1, tagged_days=[(2, big + 1)])
+    assert str(caught.value) == outside.format(decimal_str(big + 1), 2, decimal_str(big))
+    with pytest.raises(SpecInvalid) as caught:
+        step_day(CaveState(pending_tags={1: [big + 1]}), inst, 1)
+    assert str(caught.value) == outside.format(decimal_str(big + 1), 1, decimal_str(big))
+    with pytest.raises(SpecInvalid) as caught:
+        run_trace(inst, RND, 3, seed=1, tagged_days=[(1, -big)])
+    assert str(caught.value) == f"tag position must be >= 1, got {decimal_str(-big)}"
+
+
+def test_trace_header_writes_a_tag_position_past_the_digit_cap() -> None:
+    gen = separating_instance(FunctionSpec.constant(0), 9)
+    inst = GameInstance(gen.schedule_b(), horizon_cap=9)
+    pos = 10**5000
+    day = next(d for d, s in enumerate(gen.s_table, 1) if s > pos)
+    assert day <= inst.horizon_cap
+    trace = run_trace(inst, DET, inst.horizon_cap, seed=1, tagged_days=[(day, pos)])
+    assert trace.header["tags"] == json.loads(trace.lines[0])["tags"] == [[day, decimal_str(pos)]]
+    assert trace.tagged[0].pos == pos
+
+
 _R1S3B2 = make_instance(1, 3, 2, horizon_cap=2000)
 _BIG_DAY_10 = make_instance(1, FunctionSpec.table([3] * 9 + [2000], FunctionSpec.constant(3)), 1, horizon_cap=400)
 _BIG_DAY_10_TAGS = [(10, p) for p in range(1, 2001, 13)]
@@ -568,13 +603,13 @@ def tagged_runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tagged_runs())
-def test_cell_tag_lists_and_fifo_front_equal_a_rescan(run) -> None:
+def test_in_cave_list_equals_a_rescan(run) -> None:
     inst, tags, strategy, seed = run
     state = CaveState(pending_tags={d: list(ps) for d, ps in tags.items() if ps})
     ref = CountCascade(inst)
     for i, cuts in ref.play(inst.horizon_cap):
         step_day(state, inst, i)
-        assert state.cell_tags == rescan_cell_tags(state)
+        assert state.in_cave == [b.id for b in state.tagged if b.in_cave]
         # The former oldest-det comprehension, on this state whatever
         # strategy brought it here.
         cut = inst.fifo_cut(i)
@@ -587,9 +622,7 @@ def test_cell_tag_lists_and_fifo_front_equal_a_rescan(run) -> None:
             assert plan.removed_tagged == rescan_randomized_removals(state, ref.counts(), plan, night_rng(seed, i))
         apply_removals(state, plan)
         ref.remove(cuts)
-        assert state.cell_tags == rescan_cell_tags(state)
-        in_cave = [k for k, b in enumerate(state.tagged) if b.in_cave]
-        assert state.tag_front == (in_cave[0] if in_cave else len(state.tagged))
+        assert state.in_cave == [b.id for b in state.tagged if b.in_cave]
 
 
 def test_trace_record_counts_match_levels(memoryless_121) -> None:

@@ -84,7 +84,7 @@ def ref_restriction2_last(inst: GameInstance, horizon: int) -> int | None:
     valid_end = horizon if first_invalid is None else first_invalid - 1
     last = None
     for i in range(1, valid_end + 1):
-        if max(0, inst._sum_s[i - inst._b[i]] - inst._sum_r[i - 1]) <= inst._r[i]:
+        if max(0, inst._sum_s[i - inst._b[i]] - inst._sum_r[i - 1]) <= inst.r_at(i):
             last = i
     return last
 

@@ -370,6 +370,34 @@ def test_restriction1_iff_nondecreasing_memory_gap(b_values) -> None:
     assert rep.restriction1_ok == nondecreasing
 
 
+def raw_functions(lo: int, hi: int):
+    """Constant, affine and table specs with values mostly in [lo, hi]."""
+    closed = st.one_of(
+        st.builds(FunctionSpec.constant, st.integers(lo, hi)),
+        st.builds(FunctionSpec.affine, st.integers(-1, 1), st.integers(lo, hi)),
+    )
+    return closed | st.builds(FunctionSpec.table, st.lists(st.integers(lo, hi), max_size=12), closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_functions(-1, 6), raw_functions(0, 8), raw_functions(-2, 14), st.integers(1, 20))
+def test_values_read_from_prefix_sums_equal_the_raw_spec(r_spec, s_spec, b_spec, cap) -> None:
+    inst = GameInstance(make_spec(r_spec, s_spec, b_spec), horizon_cap=cap)
+    first_invalid = None
+    for i in range(1, cap + 1):
+        r, s, b = r_spec.value_at(i), s_spec.value_at(i), b_spec.value_at(i)
+        if not (1 <= r < s and b >= 0):
+            first_invalid = i
+            break
+        assert inst.evaluate(i) == (r, s, min(b, i))
+        assert (inst.r_at(i), inst.s_at(i), inst.b_at(i)) == (r, s, min(b, i))
+    assert inst.first_invalid_index == first_invalid
+    for i in range(first_invalid or cap + 1, cap + 1):
+        for read in (inst.r_at, inst.s_at, inst.evaluate):
+            with pytest.raises(SpecInvalid):
+                read(i)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
