@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import (
     IndexBeyondHorizon,
@@ -135,7 +135,11 @@ class SurvivalResult:
         }
 
 
-def _check_survival_args(d: int, horizon: int, mode: str, space: str) -> None:
+def _survival_points(
+    instance: GameInstance, d: int, horizon: int, mode: str, space: str
+) -> Iterator[tuple[int, Fraction | float, float | None]]:
+    """(N, value, log_value) for N = d-1, d, ..., horizon, in one pass over the
+    nights; every input error is raised before the first point."""
     if d < 1:
         raise SpecInvalid(f"day must be >= 1, got {d}")
     if horizon < d - 1:
@@ -144,39 +148,17 @@ def _check_survival_args(d: int, horizon: int, mode: str, space: str) -> None:
         raise SpecInvalid(f"unknown survival mode {mode!r}")
     if space not in (SPACE_RATIONAL, SPACE_LOG):
         raise SpecInvalid(f"unknown probability space {space!r}")
-
-
-def survival_curve(
-    instance: GameInstance,
-    d: int,
-    horizon: int,
-    mode: str = MODE_PAPER,
-    space: str = SPACE_RATIONAL,
-) -> list[SurvivalResult]:
-    """Survival results for every truncation N = d-1, d, ..., horizon.
-
-    One pass over the nights, so evaluating a whole curve costs the same as
-    its final point. The N = d-1 entry is the empty product 1.
-    """
-    _check_survival_args(d, horizon, mode, space)
-    results: list[SurvivalResult] = []
-
-    def emit(n: int, value: Fraction | float, log_value: float | None) -> None:
-        results.append(
-            SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
-        )
-
     if horizon < d:
         # No nights elapsed: probability 1 with no schedule access at all.
-        emit(horizon, Fraction(1) if space == SPACE_RATIONAL else 1.0, 0.0 if space == SPACE_LOG else None)
-        return results
+        yield horizon, Fraction(1) if space == SPACE_RATIONAL else 1.0, 0.0 if space == SPACE_LOG else None
+        return
 
     if horizon > instance.horizon_cap:
         raise IndexBeyondHorizon(
             f"horizon {horizon} beyond instance horizon_cap {instance.horizon_cap}"
         )
 
-    # Fail before emitting anything, regardless of where the violation sits.
+    # Fail before yielding anything, regardless of where the violation sits.
     # A violation on the valid prefix wins over an invalid day later on.
     # cell(i) is (count, take): on night i the bag leaves a cell of count
     # bags with probability take/count; paper mode reads the very-old pool.
@@ -196,16 +178,16 @@ def survival_curve(
 
     if space == SPACE_RATIONAL:
         acc = Fraction(1)
-        emit(d - 1, acc, None)
+        yield d - 1, acc, None
         for i in range(d, horizon + 1):
             count, take = cell(i)
             if take:
                 acc *= Fraction(count - take, count)
-            emit(i, acc, None)
-        return results
+            yield i, acc, None
+        return
 
     log_sum = RunningSum()
-    emit(d - 1, 1.0, log_sum.value)
+    yield d - 1, 1.0, log_sum.value
     for i in range(d, horizon + 1):
         count, take = cell(i)
         if take:
@@ -216,8 +198,25 @@ def survival_curve(
             else:
                 # log1p would amplify the rounding of a ratio above 1/2.
                 log_sum.add(math.log(count - take) - math.log(count))
-        emit(i, math.exp(log_sum.value), log_sum.value)
-    return results
+        yield i, math.exp(log_sum.value), log_sum.value
+
+
+def survival_curve(
+    instance: GameInstance,
+    d: int,
+    horizon: int,
+    mode: str = MODE_PAPER,
+    space: str = SPACE_RATIONAL,
+) -> list[SurvivalResult]:
+    """Survival results for every truncation N = d-1, d, ..., horizon.
+
+    One pass over the nights, so evaluating a whole curve costs the same as
+    its final point. The N = d-1 entry is the empty product 1.
+    """
+    return [
+        SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
+        for n, value, log_value in _survival_points(instance, d, horizon, mode, space)
+    ]
 
 
 def survival_probability(
@@ -227,8 +226,11 @@ def survival_probability(
     mode: str = MODE_PAPER,
     space: str = SPACE_RATIONAL,
 ) -> SurvivalResult:
-    """Survival probability of a day-d bag through night ``horizon``."""
-    return survival_curve(instance, d, horizon, mode=mode, space=space)[-1]
+    """Survival probability of a day-d bag through night ``horizon``; only
+    the running product is kept, not the curve."""
+    for n, value, log_value in _survival_points(instance, d, horizon, mode, space):
+        pass
+    return SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Subcommands: ``validate``, ``classify``, ``survival``, ``simulate``,
 ``construct``, ``compare``. Results are canonical JSON (sorted keys, no
-insignificant whitespace) on stdout; ``--csv`` swaps in a flat per-index
-table for offline plotting. Exit codes: 0 success, 1 validation error
-(malformed input, invalid schedule, statistical gate failure), 2 resource
-or verification failure (digit budget, certificate mismatch).
+insignificant whitespace) on stdout; ``validate --csv`` swaps in a flat
+per-index table for offline plotting. Exit codes: 0 success, 1 validation
+error (malformed input, invalid schedule, statistical gate failure), 2
+resource or verification failure (digit budget, certificate mismatch).
 
 Environment: ``RH_DIGIT_BUDGET`` overrides the big-integer digit guard and
 ``RH_SEED`` the default seed; explicit flags beat both. The built-in
@@ -51,6 +51,7 @@ from .schedule import (
     canonical_dumps,
     decimal_str,
     load_schedule,
+    parse_decimal,
     parse_function,
     read_json,
 )
@@ -111,9 +112,8 @@ def _default_horizon(args: argparse.Namespace, instance: GameInstance) -> int:
 
 
 def _write_index_csv(instance: GameInstance, horizon: int) -> None:
-    """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum."""
-    if not (1 <= horizon <= instance.horizon_cap):
-        raise SpecInvalid(f"csv horizon {horizon} outside [1, {instance.horizon_cap}]")
+    """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum; ``validate``
+    has checked 1 <= horizon <= horizon_cap."""
     end = instance.valid_end(horizon)
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
@@ -156,9 +156,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     horizon = _default_horizon(args, instance)
-    if args.csv:
-        _write_index_csv(instance, horizon)
-        return 0
     _emit(classify(instance, horizon).as_dict())
     return 0
 
@@ -167,9 +164,6 @@ def _cmd_survival(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     mode = {"paper": MODE_PAPER, "exact": MODE_EXACT}[args.mode]
     space = {"rational": SPACE_RATIONAL, "log": SPACE_LOG}[args.space]
-    if args.csv:
-        _write_index_csv(instance, args.horizon)
-        return 0
     result = survival_probability(instance, args.day, args.horizon, mode=mode, space=space)
     _emit(result.as_dict())
     return 0
@@ -224,7 +218,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.nights,
             seed,
             tagged_days=tag_days,
-            label_mode=args.label_mode,
             sink=out.write,
         )
     if args.out:
@@ -236,11 +229,11 @@ def _parse_memory_spec(text: str) -> FunctionSpec:
     if text.startswith("constant:"):
         tail = text[len("constant:") :]
         try:
-            value = int(tail, 10)
+            value = parse_decimal(tail)
         except ValueError:
-            raise SpecInvalid(f"--memory-b constant:{tail!r} is not an integer") from None
+            raise SpecInvalid(f"--memory-b constant:N needs N in -?[0-9]+, got {tail[:40]!r}") from None
         if value < 0:
-            raise SpecInvalid(f"--memory-b constant must be nonnegative, got {value}")
+            raise SpecInvalid(f"--memory-b constant must be nonnegative, got {decimal_str(value)}")
         return FunctionSpec.constant(value)
     return parse_function(read_json(text, "memory spec"), "memory-b")
 
@@ -312,7 +305,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="winner classification with certificate")
     p.add_argument("schedule")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--csv", action="store_true")
     add_budget(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -322,7 +314,6 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--mode", choices=["paper", "exact"], default="paper")
     p.add_argument("--space", choices=["rational", "log"], default="rational")
-    p.add_argument("--csv", action="store_true")
     add_budget(p)
     p.set_defaults(func=_cmd_survival)
 
@@ -333,7 +324,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tag-day", type=int, action="append", help="tag the first bag of this day")
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (estimate mode)")
-    p.add_argument("--label-mode", choices=["sequential", "random-unit"], default="sequential")
     p.add_argument("--out", default=None, help="write the trace JSONL here")
     add_budget(p)
     p.set_defaults(func=_cmd_simulate)

@@ -16,9 +16,9 @@ finds the tags of each cell its quota touches as one slice by bisection on
 day, and ``oldest-det`` reads only the tags it removes.
 
 Randomness is addressable: the draw stream for night i of trial t under
-master seed S has key ``stream_key(S, t, i)`` (stream 0 is reserved for bag
-labels), which makes traces reproducible and lets the vectorized Monte
-Carlo path evaluate any (trial, night) cell independently.
+master seed S has key ``stream_key(S, t, i)`` (stream 0 is never drawn),
+which makes traces reproducible and lets the vectorized Monte Carlo path
+evaluate any (trial, night) cell independently.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .errors import (
-    RestrictionViolated,
     ScheduleExhausted,
     SpecInvalid,
     VerificationFailed,
@@ -77,7 +76,6 @@ class TaggedBag:
     day: int
     pos: int
     removed_night: int | None = None
-    label: str = ""
 
     @property
     def in_cave(self) -> bool:
@@ -90,52 +88,43 @@ class CaveState:
     instance's (``GameInstance.night_cuts``).
 
     ``night`` is the last completed night and ``day`` the last day whose
-    batch has arrived; ``merge_cutoff`` is the largest arrival day already
-    in the very-old pool. ``tagged`` is in id order, which is (day, pos)
+    batch has arrived. ``tagged`` is in id order, which is (day, pos)
     order, and ``in_cave`` lists the ids of its in-cave bags in that order:
-    the pool's tags are the ones of days <= ``merge_cutoff``, and a
+    on night i the pool's tags are the ones of days <= i - b(i), and a
     remembered cell's tags are the ones of its day.
     """
 
     night: int = 0
     day: int = 0
-    merge_cutoff: int = 0
     tagged: list[TaggedBag] = field(default_factory=list)
     in_cave: list[int] = field(default_factory=list)
     pending_tags: dict[int, list[int]] = field(default_factory=dict)
-    next_tag_id: int = 1
 
 
 def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
-    """Apply day i: tag the new batch, then age the memory window.
+    """Apply day i: tag the new batch, then check the night is playable.
 
     Arrival days at or below i - b(i) form the very-old pool. A memory
     bound that grows by more than one per night would require a forgotten
     day to re-enter the window, which the oldest-first cells cannot
-    represent — that raises RestrictionViolated.
+    represent: ``instance.require_playable(i)`` raises RestrictionViolated.
     """
     if i != state.night + 1 or state.day == i:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
     if i > instance.horizon_cap:
         raise ScheduleExhausted(f"day {i} beyond instance horizon_cap {instance.horizon_cap}")
-    _, s_i, b_i = instance.evaluate(i)
+    s_i = instance.s_at(i)
 
     for pos in sorted(state.pending_tags.pop(i, ())):  # ids in position order
         if not (1 <= pos <= s_i):
             raise SpecInvalid(
                 f"tag position {decimal_str(pos)} outside day {i}'s batch of size {decimal_str(s_i)}"
             )
-        state.tagged.append(TaggedBag(id=state.next_tag_id, day=i, pos=pos))
-        state.in_cave.append(state.next_tag_id)
-        state.next_tag_id += 1
+        bag_id = len(state.tagged) + 1
+        state.tagged.append(TaggedBag(id=bag_id, day=i, pos=pos))
+        state.in_cave.append(bag_id)
 
-    cutoff = i - b_i
-    if cutoff < state.merge_cutoff:
-        raise RestrictionViolated(
-            f"memory bound at night {i} would re-admit forgotten days"
-            f" (cutoff {cutoff} < previously merged {state.merge_cutoff})"
-        )
-    state.merge_cutoff = cutoff
+    instance.require_playable(i)
     state.day = i
     return state
 
@@ -240,15 +229,15 @@ def select_removals(
         return bag.day, bag.pos
 
     # in_cave is in (day, pos) order: FIFO reaches a run from its front, and a
-    # cell's tags, those of days key..key (1..merge_cutoff for the pool), are
-    # one run in it.
+    # cell's tags, those of days key..key (1..i - b(i) for the pool), are one
+    # run in it.
     if strategy is StrategyKind.OLDEST_DET:
         removed_tagged = in_cave[: bisect_right(in_cave, instance.fifo_cut(i), key=rank)]
     else:
         removed_tagged = []
         for key, count, take in cuts:
             lo = bisect_left(in_cave, (key, 0), key=rank)
-            t = bisect_left(in_cave, ((key or state.merge_cutoff) + 1, 0), lo, key=rank) - lo
+            t = bisect_left(in_cave, ((key or i - instance.b_at(i)) + 1, 0), lo, key=rank) - lo
             # A whole cell draws nothing: both draws are forced.
             j = sample_hypergeom(count, t, take, rng)
             removed_tagged.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
@@ -283,7 +272,6 @@ class Trace:
     lines: list[str]
     tagged: list[TaggedBag]
     digest: str
-    final_state: CaveState
 
     @property
     def records(self) -> list[dict[str, Any]]:
@@ -335,7 +323,6 @@ def run_trace(
     nights: int,
     seed: int,
     tagged_days: Iterable[int | tuple[int, int]] = (),
-    label_mode: str = "sequential",
     trial_index: int = 0,
     sink: Callable[[str], Any] | None = None,
 ) -> Trace:
@@ -343,25 +330,19 @@ def run_trace(
 
     Deterministic given (instance, strategy, nights, seed, tags): night i
     draws from the stream keyed by ``stream_key(seed, trial_index, i)``.
-    ``label_mode`` controls the cosmetic bag labels on tagged bags:
-    ``sequential`` uses the internal id, ``random-unit`` draws a uniform
-    label in [0, 1) from the reserved label stream. Labels never affect
-    dynamics. Every input error is raised before the first line. With
-    ``sink``, the text ``to_jsonl()`` would return goes to ``sink`` one
-    line at a time as it is made, and the returned trace keeps no lines.
+    Every input error is raised before the first line. With ``sink``, the
+    text ``to_jsonl()`` would return goes to ``sink`` one line at a time as
+    it is made, and the returned trace keeps no lines.
     """
     strategy = as_strategy(strategy)
     if nights < 0:
         raise SpecInvalid(f"nights must be >= 0, got {nights}")
     if nights > instance.horizon_cap:
         raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
-    if label_mode not in ("sequential", "random-unit"):
-        raise SpecInvalid(f"unknown label mode {label_mode!r}")
 
     pending = _normalize_tags(tagged_days)
     _require_traceable(instance, nights, pending)
     state = CaveState(pending_tags={d: list(ps) for d, ps in pending.items()})
-    label_rng = CounterRNG(stream_key(seed, trial_index, 0))
 
     header = {
         "format": TRACE_FORMAT,
@@ -370,7 +351,8 @@ def run_trace(
         "trial": trial_index,
         "strategy": strategy.value,
         "nights": nights,
-        "label_mode": label_mode,
+        # A fixed field of rh-trace-v1: the header is hashed, so it stays.
+        "label_mode": "sequential",
         "schedule": instance.spec.to_obj(),
         "tags": sorted([day, decimal_str(pos)] for day, ps in pending.items() for pos in ps),
     }
@@ -386,13 +368,8 @@ def run_trace(
             sink(text)
 
     emit(canonical_dumps(header))
-    labeled_through = 0
     for i in range(1, nights + 1):
         step_day(state, instance, i)
-        while labeled_through < len(state.tagged):
-            bag = state.tagged[labeled_through]
-            bag.label = str(bag.id) if label_mode == "sequential" else repr(label_rng.u01())
-            labeled_through += 1
         rng = CounterRNG(stream_key(seed, trial_index, i)) if strategy is StrategyKind.OLDEST_RND else None
         plan = select_removals(state, instance, i, strategy, rng)
         apply_removals(state, plan)
@@ -412,7 +389,7 @@ def run_trace(
     digest = hasher.hexdigest()
     if sink is not None:
         sink(canonical_dumps({"digest": digest}) + "\n")
-    return Trace(header=header, lines=lines, tagged=list(state.tagged), digest=digest, final_state=state)
+    return Trace(header=header, lines=lines, tagged=state.tagged, digest=digest)
 
 
 def empirical_survival(

@@ -434,11 +434,11 @@ class GameInstance:
     __slots__ = (
         "spec",
         "horizon_cap",
-        "digit_budget",
         "first_invalid_index",
         "restriction1_first_violation",
         "restriction2_violations",
         "window_dips",
+        "_playable_through",
         "_gap_highs",
         "_gap_lows",
         "_b",
@@ -453,7 +453,6 @@ class GameInstance:
         digit_budget: int = DEFAULT_DIGIT_BUDGET,
     ):
         self.spec = spec
-        self.digit_budget = digit_budget
 
         hard = None
         for fs in (spec.r_spec, spec.s_spec, spec.b_spec):
@@ -526,10 +525,12 @@ class GameInstance:
         self._sum_r = sum_r
         self.first_invalid_index = first_invalid
         self.restriction1_first_violation = first_break
+        valid_end = self.valid_end(cap)
+        # The last n <= cap that require_playable(n) passes.
+        self._playable_through = valid_end if first_break is None else min(valid_end, first_break)
         self._gap_highs = NightRuns(high_edges)
         self._gap_lows = NightRuns(low_edges)
         # Both restriction-2 conditions stop at the end of the valid prefix.
-        valid_end = self.valid_end(cap)
         for holds, edges in ((r2, r2_edges), (dip, dip_edges)):
             if holds:
                 edges.append(valid_end + 1)
@@ -565,6 +566,8 @@ class GameInstance:
     def require_playable(self, n: int) -> None:
         """Raise what the engine raises on nights 1..n: RestrictionViolated for a
         memory break before the first invalid day, else SpecInvalid for an invalid day."""
+        if n <= self._playable_through:
+            return
         if not self.restriction1_holds(self.valid_end(n)):
             i = self.restriction1_first_violation
             raise RestrictionViolated(
@@ -648,11 +651,7 @@ class GameInstance:
         """
         if not 1 <= i <= self.horizon_cap:
             raise IndexBeyondHorizon(f"night {i} outside [1, {self.horizon_cap}] for this instance")
-        # require_playable(i) raises exactly when this holds; testing it here
-        # first keeps the call off the path of every playable night.
-        first_invalid, first_break = self.first_invalid_index, self.restriction1_first_violation
-        if (first_invalid is not None and i >= first_invalid) or (first_break is not None and first_break < i):
-            self.require_playable(i)
+        self.require_playable(i)
         sum_s, sum_r = self._sum_s, self._sum_r
         cutoff = i - self._b[i]
         before, after = sum_r[i - 1], sum_r[i]

@@ -267,7 +267,7 @@ def _members(state: CaveState, ref: CountCascade) -> list[list[int | None]]:
     def cell(ids: list[int], count: int) -> list[int | None]:
         return [*ids, *[None] * (count - len(ids))]
 
-    pools = [cell([b.id for b in in_cave if b.day <= state.merge_cutoff], ref.very_old_count)]
+    pools = [cell([b.id for b in in_cave if b.day <= ref.merge_cutoff], ref.very_old_count)]
     pools.extend(cell([b.id for b in in_cave if b.day == day], count) for day, count in ref.window_counts())
     return pools
 

@@ -112,6 +112,24 @@ def test_survival_curve_is_one_pass_and_matches_pointwise(memoryless_121) -> Non
         assert res.value == survival_probability(memoryless_121, d, res.horizon).value
 
 
+@pytest.mark.parametrize("mode", [MODE_PAPER, MODE_EXACT])
+@pytest.mark.parametrize("space", [SPACE_RATIONAL, SPACE_LOG])
+def test_survival_probability_keeps_only_the_last_point(memoryless_121, monkeypatch, mode, space) -> None:
+    # Building the whole curve for its last entry kept every prefix product.
+    real, made = analysis.SurvivalResult, []
+
+    def counting(**fields):
+        made.append(fields["horizon"])
+        return real(**fields)
+
+    monkeypatch.setattr(analysis, "SurvivalResult", counting)
+    for d, horizon in ((3, 300), (5, 4)):
+        made.clear()
+        result = survival_probability(memoryless_121, d, horizon, mode=mode, space=space)
+        assert made == [horizon]
+        assert result == survival_curve(memoryless_121, d, horizon, mode=mode, space=space)[-1]
+
+
 def test_survival_curve_is_nonincreasing(memoryless_121) -> None:
     values = [res.value for res in survival_curve(memoryless_121, 2, 60)]
     assert all(a >= b for a, b in zip(values, values[1:]))

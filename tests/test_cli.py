@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinhood import GameInstance, classify, load_schedule, survival_probability
+from robinhood import FunctionSpec, GameInstance, SpecInvalid, classify, load_schedule, survival_probability
 from robinhood import cli
 from robinhood.cli import DEFAULT_SEED, dispatch
 from robinhood.schedule import canonical_dumps, decimal_str
@@ -174,9 +174,8 @@ def test_simulate_out_file_reports_matching_digest(sched, tmp_path, capsys) -> N
     [
         ["--strategy", "oldest-det", "--tag-day", "2", "--tag-day", "5"],
         ["--strategy", "oldest-rnd", "--tag-day", "1", "--tag-day", "3", "--tag-day", "4"],
-        ["--strategy", "oldest-rnd", "--tag-day", "2", "--tag-day", "6", "--label-mode", "random-unit"],
     ],
-    ids=["det", "rnd", "rnd-random-unit"],
+    ids=["det", "rnd"],
 )
 def test_simulate_out_file_holds_the_printed_trace(tmp_path, capsys, options) -> None:
     path = write_schedule(tmp_path / "sched.json", r=1, s=3, b=2)
@@ -302,6 +301,15 @@ def test_construct_env_budget_override(tmp_path, capsys, monkeypatch) -> None:
     capsys.readouterr()
 
 
+def test_digit_budget_flag_beats_env(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("RH_DIGIT_BUDGET", "4")
+    argv = ["construct", "--memory-b", "constant:0", "--steps", "5", "-o", str(tmp_path / "x")]
+    assert dispatch(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "LimitExceeded"
+    assert dispatch([*argv, "--digit-budget", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["ok"] is True
+
+
 def test_compare_gate_passes_for_honest_engine(sched, capsys) -> None:
     code, out = run(
         capsys, "compare", sched, "--day", "1", "--nights", "49", "--trials", "20000", "--seed", "3"
@@ -366,6 +374,52 @@ def test_the_cached_parser_prints_what_fresh_parsers_print(sched, capsys) -> Non
         cached.append((code, *capsys.readouterr()))
     assert cli.build_parser.cache_info().hits >= len(calls) - 1
     assert cached == fresh
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["simulate", "--nights", "3", "--label-mode", "sequential"],
+        ["classify", "--csv"],
+        ["survival", "--day", "1", "--horizon", "3", "--csv"],
+    ],
+    ids=["simulate-label-mode", "classify-csv", "survival-csv"],
+)
+def test_removed_options_are_usage_errors(sched, capsys, options) -> None:
+    code = dispatch([options[0], sched, *options[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "SpecInvalid"
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["\u0661", "+1_0", " 1", "1.0", "9" * 5000 + "x"],
+    ids=["arabic-indic-one", "plus-underscore", "leading-space", "decimal-point", "5000-digits-then-x"],
+)
+def test_memory_constant_takes_only_ascii_digits(tmp_path, capsys, tail) -> None:
+    # int() read the Arabic-Indic one as 1 and "+1_0" as 10.
+    code = dispatch(["construct", "--memory-b", "constant:" + tail, "--steps", "3", "-o", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "SpecInvalid" and error["message"].startswith("--memory-b constant:N")
+    assert len(error["message"]) < 100
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_constant_past_the_digit_cap_is_an_integer(tmp_path, capsys) -> None:
+    # int() refused 5000 digits as "not an integer"; b clamps to i, as b = 10 does.
+    digits = "9" * 5000
+    assert cli._parse_memory_spec("constant:" + digits) == FunctionSpec.constant(10**5000 - 1)
+    outcomes = []
+    for b in (digits, "10"):
+        code = dispatch(["construct", "--memory-b", "constant:" + b, "--steps", "3", "-o", str(tmp_path / "x")])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
+    assert json.loads(outcomes[0][1].err)["error"] == "RestrictionViolated"
+    with pytest.raises(SpecInvalid, match="nonnegative"):
+        cli._parse_memory_spec("constant:-" + digits)
 
 
 def test_memory_spec_from_json_file(tmp_path, capsys) -> None:

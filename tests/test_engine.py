@@ -65,7 +65,8 @@ def test_step_day_accumulates_and_merges(memoryless_121) -> None:
     assert ref.cave_size == 2
     assert ref.very_old_count == 2
     assert ref.window_counts() == []
-    assert state.merge_cutoff == ref.merge_cutoff == 1
+    assert ref.merge_cutoff == 1 - memoryless_121.b_at(1) == 1
+    assert state.day == 1 and state.in_cave == []
     assert memoryless_121.night_cuts(1) == ref.cuts(1) == [(VERY_OLD_KEY, 2, 1)]
 
 
@@ -85,7 +86,7 @@ def test_step_day_keeps_window_cells_under_positive_memory() -> None:
     # b(2) = 1: day 2 stays in the window, day 1 leftovers are already old.
     assert ref.window_counts() == [(2, 3)]
     assert ref.very_old_count == 2
-    assert state.merge_cutoff == 1
+    assert ref.merge_cutoff == 2 - inst.b_at(2) == 1
     assert inst.cell(2, 2) == (3, 0) and inst.cell(1, 2) == (2, 1)
     assert inst.night_cuts(2) == ref.cuts(2) == [(VERY_OLD_KEY, 2, 1)]
 
@@ -104,6 +105,40 @@ def test_step_day_rejects_memory_jump() -> None:
     advance(state, inst, 1)
     with pytest.raises(RestrictionViolated):
         step_day(state, inst, 2)
+
+
+@st.composite
+def memory_jumps(draw):
+    """Valid schedules whose memory bound may grow by more than one a night,
+    a tag on the first bag of every day, and a strategy."""
+    cap = draw(st.integers(1, 20))
+    s = draw(st.lists(st.integers(2, 6), min_size=cap, max_size=cap))
+    r = [draw(st.integers(1, x - 1)) for x in s]
+    b = draw(st.lists(st.integers(0, 6), min_size=cap, max_size=cap))
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r, FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table(s, FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.table(b, FunctionSpec.constant(0)),
+    )
+    return GameInstance(spec, horizon_cap=cap), draw(st.sampled_from([DET, RND]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(memory_jumps())
+def test_step_day_refuses_the_night_the_cascade_refuses(run) -> None:
+    inst, strategy = run
+    ref = CountCascade(inst)
+    for _, cuts in ref.play(inst.horizon_cap):
+        ref.remove(cuts)
+    state = CaveState(pending_tags={d: [1] for d in range(1, inst.horizon_cap + 1)})
+    for i in range(1, ref.night + 1):
+        advance(state, inst, i, strategy, night_rng(9, i) if strategy is RND else None)
+    if ref.error is None:
+        assert ref.night == inst.horizon_cap
+    else:
+        assert ref.error is RestrictionViolated
+        with pytest.raises(RestrictionViolated):
+            step_day(state, inst, ref.night + 1)
 
 
 def test_step_day_past_horizon_is_exhausted() -> None:
@@ -137,7 +172,7 @@ def test_counts_conserved_across_nights(strategy) -> None:
         rng = night_rng(17, i) if strategy is RND else None
         plan = advance(state, inst, i, strategy, rng)
         assert plan.cells == [(key, take) for key, _, take in cuts]
-        assert state.merge_cutoff == ref.merge_cutoff
+        assert ref.merge_cutoff == i - inst.b_at(i)
         ref.remove(cuts)
         pool, window = _pool_and_window(ref, inst)
         assert pool == ref.very_old_count
@@ -443,21 +478,6 @@ def test_trace_det_fifo_removal_nights(memoryless_121) -> None:
         assert bag.removed_night == 2 * (bag.day - 1) + bag.pos
 
 
-def test_trace_sequential_labels_and_random_unit_labels(memoryless_121) -> None:
-    seq = run_trace(memoryless_121, RND, 5, seed=3, tagged_days=[(1, 1), (2, 2)])
-    assert [bag.label for bag in seq.tagged] == ["1", "2"]
-    rnd = run_trace(
-        memoryless_121, RND, 5, seed=3, tagged_days=[(1, 1), (2, 2)], label_mode="random-unit"
-    )
-    floats = [float(bag.label) for bag in rnd.tagged]
-    assert all(0.0 <= x < 1.0 for x in floats)
-    # Labels come from the reserved night-0 stream of the same seed/trial.
-    label_rng = CounterRNG(stream_key(3, 0, 0))
-    assert floats == [label_rng.u01(), label_rng.u01()]
-    # Labels are cosmetic: dynamics identical, headers differ.
-    assert [b.removed_night for b in rnd.tagged] == [b.removed_night for b in seq.tagged]
-
-
 def test_trace_rejects_bad_tags(memoryless_121) -> None:
     with pytest.raises(SpecInvalid):
         run_trace(memoryless_121, DET, 5, seed=0, tagged_days=[(0, 1)])
@@ -553,19 +573,20 @@ def test_a_night_costs_the_same_under_full_memory() -> None:
     assert seconds(FunctionSpec.affine(1, 0)) < 3 * memoryless
 
 
-def rescan_cell_tags(state: CaveState) -> dict[int, list[int]]:
-    """Every in-cave tagged id by cell key, rebuilt from ``state.tagged``."""
+def rescan_cell_tags(state: CaveState, cutoff: int) -> dict[int, list[int]]:
+    """Every in-cave tagged id by cell key, rebuilt from ``state.tagged``;
+    days <= ``cutoff`` are in the very-old pool."""
     tags_of: dict[int, list[int]] = {}
     for b in state.tagged:
         if b.in_cave:
-            key = VERY_OLD_KEY if b.day <= state.merge_cutoff else b.day
+            key = VERY_OLD_KEY if b.day <= cutoff else b.day
             tags_of.setdefault(key, []).append(b.id)
     return tags_of
 
 
-def rescan_randomized_removals(state: CaveState, counts: dict[int, int], plan, rng: CounterRNG) -> list[int]:
+def rescan_randomized_removals(ref: CountCascade, state: CaveState, plan, rng: CounterRNG) -> list[int]:
     """The boundary draws of ``oldest-rnd`` from a rescan and product weights."""
-    tags_of = rescan_cell_tags(state)
+    tags_of, counts = rescan_cell_tags(state, ref.merge_cutoff), ref.counts()
     removed = []
     for key, take in plan.cells:
         tags = tags_of.get(key, [])
@@ -619,7 +640,7 @@ def test_in_cave_list_equals_a_rescan(run) -> None:
         plan = select_removals(state, inst, i, strategy, rng)
         assert plan.cells == [(key, take) for key, _, take in cuts]
         if strategy is RND:
-            assert plan.removed_tagged == rescan_randomized_removals(state, ref.counts(), plan, night_rng(seed, i))
+            assert plan.removed_tagged == rescan_randomized_removals(ref, state, plan, night_rng(seed, i))
         apply_removals(state, plan)
         ref.remove(cuts)
         assert state.in_cave == [b.id for b in state.tagged if b.in_cave]

@@ -9,6 +9,7 @@ short. Everything else must match the output character for character.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shlex
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from robinhood.cli import dispatch
+from robinhood.cli import build_parser, dispatch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCHEDULE = {
@@ -67,3 +68,13 @@ def test_readme_example_output(command, shown, tmp_path, monkeypatch, capsys) ->
     assert len(out) == len(shown)
     for got, want in zip(out, shown):
         assert shown_pattern(want).fullmatch(got), (want, got)
+
+
+def test_every_cli_option_is_in_the_readme() -> None:
+    text = README.read_text(encoding="utf-8")
+    parser = build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    options = {o for p in (parser, *sub.choices.values()) for action in p._actions for o in action.option_strings}
+    assert len(options) > 10
+    missing = sorted(o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text))
+    assert missing == []
