@@ -259,10 +259,7 @@ class SeriesDiagnostics:
 
 def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostics:
     """Partial sum, last term, and a log-log decay-slope estimate."""
-    if not (1 <= horizon <= instance.horizon_cap):
-        raise IndexBeyondHorizon(
-            f"horizon {horizon} outside [1, {instance.horizon_cap}] for this instance"
-        )
+    instance.check_horizon(horizon)
     floats: list[float] = []
     points: list[tuple[int, float]] = []
     last: tuple[int, int] | None = None
@@ -362,14 +359,13 @@ def _classify_pinned_pool(instance: GameInstance, horizon: int) -> Verdict | Non
     """
     if _separation_provenance_role(instance) != "c":
         return None
-    upto = min(horizon, instance.horizon_cap)
-    if upto < 1 or not instance.restriction1_holds(upto):
+    if not instance.restriction1_holds(horizon):
         return None
-    if not instance.restriction2_violations.covers(1, upto):
+    if not instance.restriction2_violations.covers(1, horizon):
         return None
     certificate = {
         "witness": "Ltilde(i) <= r(i) at every checked index (by construction at every index)",
-        "verified_through": upto,
+        "verified_through": horizon,
         "holds_at_every_checked_index": True,
     }
     return Verdict(kind=KIND_ROBIN_SURELY, rule=RULE_PINNED_POOL, certificate=certificate)
@@ -394,7 +390,7 @@ def _classify_divergent(instance: GameInstance, horizon: int) -> Verdict | None:
         return None
 
     anchor = max(from_s + b0 - 1, from_r, from_b, b0, 2)
-    if anchor + 1 > min(horizon, instance.horizon_cap):
+    if anchor + 1 > horizon:
         return None
     if not instance.restriction1_holds(anchor + 1):
         return None
@@ -431,23 +427,22 @@ def _classify_convergent(instance: GameInstance, horizon: int) -> Verdict | None
     """
     if _separation_provenance_role(instance) != "b":
         return None
-    upto = min(horizon, instance.horizon_cap)
-    if upto < 2 or not instance.restriction1_holds(upto):
+    if horizon < 2 or not instance.restriction1_holds(horizon):
         return None
 
     # The violations of restriction 2 must form a proper prefix 1..prefix_end.
-    prefix_end = instance.restriction2_violations.last(upto) or 0
-    if prefix_end >= upto or (prefix_end and not instance.restriction2_violations.covers(1, prefix_end)):
+    prefix_end = instance.restriction2_violations.last(horizon) or 0
+    if prefix_end >= horizon or (prefix_end and not instance.restriction2_violations.covers(1, prefix_end)):
         return None
     start = max(2, prefix_end + 1)
-    for i in range(start, upto + 1):
+    for i in range(start, horizon + 1):
         # term(i) <= 1/i^2 by integer cross-multiplication (values are huge).
         if instance.r_at(i) * i * i > instance.very_old_level(i):
             return None
     certificate = {
         "majorant": "term(i) <= 1/i^2",
         "verified_from": start,
-        "verified_through": upto,
+        "verified_through": horizon,
         "tail_bound": "sum_{i>N} 1/i^2 < 1/N",
         "restriction2_violation_prefix_end": prefix_end,
     }
@@ -455,15 +450,14 @@ def _classify_convergent(instance: GameInstance, horizon: int) -> Verdict | None
 
 
 def classify(instance: GameInstance, horizon: int) -> Verdict:
-    """Apply the certificate rules in order; Undetermined is the fallback."""
+    """Apply the certificate rules in order; Undetermined is the fallback.
+
+    Each rule reads ``horizon`` as checked here, within [1, horizon_cap]."""
     if instance.first_invalid_index is not None:
         raise SpecInvalid(
             f"cannot classify: schedule invalid from day {instance.first_invalid_index}"
         )
-    if not (1 <= horizon <= instance.horizon_cap):
-        raise IndexBeyondHorizon(
-            f"horizon {horizon} outside [1, {instance.horizon_cap}] for this instance"
-        )
+    instance.check_horizon(horizon)
 
     for rule in (_classify_bounded_gap, _classify_pinned_pool, _classify_divergent, _classify_convergent):
         verdict = rule(instance, horizon)

@@ -233,7 +233,7 @@ def _parse_memory_spec(text: str) -> FunctionSpec:
         except ValueError:
             raise SpecInvalid(f"--memory-b constant:N needs N in -?[0-9]+, got {tail[:40]!r}") from None
         if value < 0:
-            raise SpecInvalid(f"--memory-b constant must be nonnegative, got {decimal_str(value)}")
+            raise SpecInvalid(f"--memory-b constant must be nonnegative, got {tail[:40]!r}")
         return FunctionSpec.constant(value)
     return parse_function(read_json(text, "memory spec"), "memory-b")
 

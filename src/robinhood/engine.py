@@ -46,12 +46,10 @@ from .rng import (
     stream_key,
     words_vec,
 )
-from .schedule import GameInstance, canonical_dumps, decimal_str
+# Removal records key the very-old pool by VERY_OLD_KEY, as night_cuts does.
+from .schedule import VERY_OLD_KEY, GameInstance, canonical_dumps, decimal_str
 
 TRACE_FORMAT = "rh-trace-v1"
-
-#: Day key used for the very-old pool in removal records (real days are >= 1).
-VERY_OLD_KEY = 0
 
 
 class StrategyKind(str, Enum):

@@ -32,9 +32,6 @@ _PHI = 0x9E3779B97F4A7C15
 # Domain separator keeping child-key derivation off the output stream.
 _STREAM_DOMAIN = 0xD1B54A32D192ED03
 
-# 2**-53, for mapping the top 53 bits of a word onto [0, 1).
-_U01 = 2.0**-53
-
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer on a 64-bit word."""
@@ -60,11 +57,6 @@ def stream_key(master: int, *path: int) -> int:
     for p in path:
         k = child_key(k, p)
     return k
-
-
-def u01_from_word(w: int) -> float:
-    """Map a 64-bit word to a float in [0, 1) using its top 53 bits."""
-    return (w >> 11) * _U01
 
 
 # numpy mirrors of mix64/word, bit-identical to the scalar versions.
@@ -115,9 +107,6 @@ class CounterRNG:
         self.counter += 1
         return w
 
-    def u01(self) -> float:
-        return u01_from_word(self.next64())
-
     def bits(self, nbits: int) -> int:
         """Uniform integer with exactly `nbits` random bits (0 for nbits=0)."""
         if nbits <= 0:
@@ -142,7 +131,3 @@ class CounterRNG:
             v = self.bits(nbits)
             if v < n:
                 return v
-
-    def spawn(self, p: int) -> "CounterRNG":
-        """Fresh reader over child stream p of this stream's key."""
-        return CounterRNG(child_key(self.key, p))

@@ -32,8 +32,9 @@ import decimal
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import asdict, dataclass, field, replace
+from itertools import count, islice, repeat
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
@@ -46,6 +47,9 @@ from .errors import (
 
 #: Default evaluation range for schedules with no intrinsic horizon.
 DEFAULT_HORIZON_CAP = 10_000
+
+#: Cell key of the very-old pool in ``night_cuts`` and in trace removal records (real days are >= 1).
+VERY_OLD_KEY = 0
 
 _KINDS = ("constant", "affine", "table", "generated")
 
@@ -125,28 +129,27 @@ def _require_decimal_string(value: Any, path: str) -> int:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """One schedule function in closed or tabulated form.
+    """One schedule function: ``values`` for i = 1..len(values), then ``tail``
+    evaluated at the original index i, or ``a * i + c`` when there is no tail.
 
-    Exactly one representation is active, selected by ``kind``:
+    ``kind`` names the JSON form the spec is read from and written back to:
 
-    * ``constant`` — ``value`` at every index;
+    * ``constant`` — ``c`` at every index (``a`` is 0);
     * ``affine`` — ``a * i + c``;
-    * ``table`` — explicit ``values`` for i = 1..len(values), then the
-      ``tail`` spec evaluated at the original index i;
+    * ``table`` — explicit ``values``, then ``tail``;
     * ``generated`` — explicit ``values`` only; evaluation beyond the last
       entry refuses with IndexBeyondHorizon rather than extrapolating.
     """
 
     kind: str
-    value: int | None = None
-    a: int | None = None
-    c: int | None = None
-    values: tuple[int, ...] | None = None
+    values: tuple[int, ...] = ()
+    a: int = 0
+    c: int = 0
     tail: "FunctionSpec | None" = None
 
     @staticmethod
     def constant(value: int) -> "FunctionSpec":
-        return FunctionSpec(kind="constant", value=value)
+        return FunctionSpec(kind="constant", c=value)
 
     @staticmethod
     def affine(a: int, c: int) -> "FunctionSpec":
@@ -164,66 +167,53 @@ class FunctionSpec:
         """Raw function value at day i >= 1 (no clamping applied)."""
         if i < 1:
             raise IndexBeyondHorizon(f"index {i} is below 1")
-        if self.kind == "constant":
-            return self.value  # type: ignore[return-value]
-        if self.kind == "affine":
-            return self.a * i + self.c  # type: ignore[operator]
-        if self.kind == "table":
-            if i <= len(self.values):  # type: ignore[arg-type]
-                return self.values[i - 1]  # type: ignore[index]
-            return self.tail.value_at(i)  # type: ignore[union-attr]
+        if i <= len(self.values):
+            return self.values[i - 1]
+        if self.tail is not None:
+            return self.tail.value_at(i)
         if self.kind == "generated":
-            if i <= len(self.values):  # type: ignore[arg-type]
-                return self.values[i - 1]  # type: ignore[index]
             raise IndexBeyondHorizon(
-                f"generated values end at index {len(self.values)}; refusing index {i}"  # type: ignore[arg-type]
+                f"generated values end at index {len(self.values)}; refusing index {i}"
             )
-        raise SpecInvalid(f"unknown function kind {self.kind!r}")
+        return self.a * i + self.c
+
+    def __iter__(self) -> Iterator[int]:
+        """The values at i = 1, 2, ...; the stream ends after index ``hard_horizon()`` when that is not None."""
+        yield from self.values
+        n = len(self.values)
+        if self.tail is not None:
+            yield from islice(self.tail, n, None)
+        elif self.kind != "generated":
+            yield from count(self.a * (n + 1) + self.c, self.a) if self.a else repeat(self.c)
 
     def hard_horizon(self) -> int | None:
         """Largest defined index, or None when defined for all i >= 1."""
-        if self.kind in ("constant", "affine"):
-            return None
-        if self.kind == "generated":
-            return len(self.values)  # type: ignore[arg-type]
-        if self.kind == "table":
-            th = self.tail.hard_horizon()  # type: ignore[union-attr]
-            if th is None:
-                return None
-            return max(len(self.values), th)  # type: ignore[arg-type]
-        raise SpecInvalid(f"unknown function kind {self.kind!r}")
+        if self.tail is None:
+            return len(self.values) if self.kind == "generated" else None
+        th = self.tail.hard_horizon()
+        return None if th is None else max(len(self.values), th)
 
     def eventually_constant(self) -> tuple[int, int] | None:
         """(value, from_index) if provably constant from some index on."""
-        if self.kind == "constant":
-            return (self.value, 1)  # type: ignore[return-value]
-        if self.kind == "affine":
-            if self.a == 0:
-                return (self.c, 1)  # type: ignore[return-value]
-            return None
-        if self.kind == "table":
-            ec = self.tail.eventually_constant()  # type: ignore[union-attr]
-            if ec is None:
-                return None
-            value, from_index = ec
-            return (value, max(from_index, len(self.values) + 1))  # type: ignore[arg-type]
-        return None
+        if self.tail is not None:
+            ec = self.tail.eventually_constant()
+        else:
+            ec = None if self.kind == "generated" or self.a else (self.c, 1)
+        return None if ec is None else (ec[0], max(ec[1], len(self.values) + 1))
 
     def to_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
         """JSON-ready dict (generated values become decimal strings, through ``text``)."""
         if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
+            return {"kind": "constant", "value": self.c}
         if self.kind == "affine":
             return {"kind": "affine", "a": self.a, "c": self.c}
         if self.kind == "table":
             return {
                 "kind": "table",
-                "values": list(self.values),  # type: ignore[arg-type]
+                "values": list(self.values),
                 "tail": self.tail.to_obj(text),  # type: ignore[union-attr]
             }
-        if self.kind == "generated":
-            return {"kind": "generated", "values": [text(v) for v in self.values]}  # type: ignore[union-attr]
-        raise SpecInvalid(f"unknown function kind {self.kind!r}")
+        return {"kind": "generated", "values": [text(v) for v in self.values]}
 
 
 def parse_function(obj: Any, path: str) -> FunctionSpec:
@@ -361,16 +351,7 @@ class RestrictionReport:
     i_minus_b_grew: bool
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "horizon": self.horizon,
-            "validity_ok": self.validity_ok,
-            "first_invalid_index": self.first_invalid_index,
-            "restriction1_ok": self.restriction1_ok,
-            "restriction1_first_violation": self.restriction1_first_violation,
-            "restriction2_last_violation": self.restriction2_last_violation,
-            "i_minus_b_max": self.i_minus_b_max,
-            "i_minus_b_grew": self.i_minus_b_grew,
-        }
+        return asdict(self)
 
 
 class NightRuns:
@@ -483,10 +464,8 @@ class GameInstance:
         limit = budget_bits(digit_budget)
         acc_s = 0
         acc_r = 0
-        for i in range(1, cap + 1):
-            ri = spec.r_spec.value_at(i)
-            si = spec.s_spec.value_at(i)
-            bi_raw = spec.b_spec.value_at(i)
+        # zip stops at the range: cap is at most every spec's hard_horizon(), so no stream ends sooner.
+        for i, ri, si, bi_raw in zip(range(1, cap + 1), spec.r_spec, spec.s_spec, spec.b_spec):
             if first_invalid is None and not (1 <= ri < si and bi_raw >= 0):
                 first_invalid = i
             # Clamp to [0, i]; the raw value is only needed for validity.
@@ -543,6 +522,11 @@ class GameInstance:
                 f"index {i} outside [{low}, {self.horizon_cap}] for this instance"
             )
         self.require_valid(i)
+
+    def check_horizon(self, horizon: int) -> None:
+        """Raise IndexBeyondHorizon unless 1 <= horizon <= horizon_cap."""
+        if not 1 <= horizon <= self.horizon_cap:
+            raise IndexBeyondHorizon(f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance")
 
     def require_valid(self, i: int) -> None:
         """Raise SpecInvalid unless days 1..i are all valid."""
@@ -645,7 +629,7 @@ class GameInstance:
 
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
         """[(key, count, take)]: the cells night i takes from, oldest first, as
-        ``cell`` gives them; key 0 is the very-old pool, else the arrival day.
+        ``cell`` gives them; the key is VERY_OLD_KEY for the very-old pool, else the arrival day.
         One bisection finds the oldest remembered day with bags left; the walk
         stops at the day of ``fifo_cut(i)``.
         """
@@ -656,7 +640,7 @@ class GameInstance:
         cutoff = i - self._b[i]
         before, after = sum_r[i - 1], sum_r[i]
         pool = max(0, sum_s[cutoff] - before)
-        cuts = [(0, pool, min(after - before, pool))] if pool else []
+        cuts = [(VERY_OLD_KEY, pool, min(after - before, pool))] if pool else []
         # Arrivals strictly increase on valid days, and S(i) > R(i).
         d = bisect_right(sum_s, before, cutoff + 1, i + 1)
         while sum_s[d - 1] < after:
@@ -668,17 +652,13 @@ class GameInstance:
     def memory_gap_range(self, horizon: int) -> tuple[int, int]:
         """(min, max) of i - b(i) over 1 <= i <= horizon: each is the gap on the
         last night up to horizon that tied or beat the running extreme."""
-        if not 1 <= horizon <= self.horizon_cap:
-            raise IndexBeyondHorizon(f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance")
+        self.check_horizon(horizon)
         lo, hi = self._gap_lows.last(horizon), self._gap_highs.last(horizon)
         return lo - self._b[lo], hi - self._b[hi]  # type: ignore[operator]
 
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""
-        if not (1 <= horizon <= self.horizon_cap):
-            raise IndexBeyondHorizon(
-                f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance"
-            )
+        self.check_horizon(horizon)
 
         first_invalid = self.first_invalid_index
         if first_invalid is not None and first_invalid > horizon:
@@ -704,20 +684,16 @@ def spec_plus_one(fs: FunctionSpec) -> FunctionSpec:
     """A function spec whose clamped value is min(b(i) + 1, i) when ``fs`` yields b.
 
     Adding 1 to every raw value commutes with the min(., i) clamp:
-    min(min(v, i) + 1, i) = min(v + 1, i) for all i >= 1.
+    min(min(v, i) + 1, i) = min(v + 1, i) for all i >= 1. Only the closed form
+    reads ``c``, so a table or generated spec keeps its own.
     """
-    if fs.kind == "constant":
-        return FunctionSpec.constant(fs.value + 1)  # type: ignore[operator]
-    if fs.kind == "affine":
-        return FunctionSpec.affine(fs.a, fs.c + 1)  # type: ignore[operator,arg-type]
-    if fs.kind == "table":
-        return FunctionSpec.table(
-            [v + 1 for v in fs.values],  # type: ignore[union-attr]
-            spec_plus_one(fs.tail),  # type: ignore[arg-type]
-        )
-    if fs.kind == "generated":
-        return FunctionSpec.generated([v + 1 for v in fs.values])  # type: ignore[union-attr]
-    raise SpecInvalid(f"unknown function kind {fs.kind!r}")
+    closed = fs.tail is None and fs.kind != "generated"
+    return replace(
+        fs,
+        values=tuple(v + 1 for v in fs.values),
+        c=fs.c + 1 if closed else fs.c,
+        tail=None if fs.tail is None else spec_plus_one(fs.tail),
+    )
 
 
 def bounded_memory_gap(fs: FunctionSpec, start_i: int = 1) -> int | None:
@@ -727,20 +703,19 @@ def bounded_memory_gap(fs: FunctionSpec, start_i: int = 1) -> int | None:
     slope >= 1, possibly behind a finite table prefix), else None. Constant
     and generated specs never prove boundedness.
     """
-    if fs.kind == "affine":
-        if fs.a is None or fs.a < 1:
-            return None
-        raw = fs.a * start_i + fs.c  # type: ignore[operator]
-        # Gap i - (a*i + c) is nonincreasing for a >= 1: sup is at start_i.
-        return max(start_i - raw, 0)
-    if fs.kind == "table":
-        n = len(fs.values)  # type: ignore[arg-type]
-        tail_bound = bounded_memory_gap(fs.tail, max(start_i, n + 1))  # type: ignore[arg-type]
+    n = len(fs.values)
+    after = max(start_i, n + 1)
+    if fs.tail is not None:
+        tail_bound = bounded_memory_gap(fs.tail, after)
         if tail_bound is None:
             return None
-        prefix = 0
-        for i in range(start_i, n + 1):
-            v = fs.values[i - 1]  # type: ignore[index]
-            prefix = max(prefix, i - min(v, i) if v >= 0 else i)
-        return max(prefix, tail_bound)
-    return None
+    elif fs.kind == "generated" or fs.a < 1:
+        return None
+    else:
+        # Gap i - (a*i + c) is nonincreasing for a >= 1: sup is at the first index past the prefix.
+        tail_bound = max(after - (fs.a * after + fs.c), 0)
+    prefix = 0
+    for i in range(start_i, n + 1):
+        v = fs.values[i - 1]
+        prefix = max(prefix, i - min(v, i) if v >= 0 else i)
+    return max(prefix, tail_bound)

@@ -420,6 +420,15 @@ def test_memory_constant_past_the_digit_cap_is_an_integer(tmp_path, capsys) -> N
     assert json.loads(outcomes[0][1].err)["error"] == "RestrictionViolated"
     with pytest.raises(SpecInvalid, match="nonnegative"):
         cli._parse_memory_spec("constant:-" + digits)
+    # The negative value is quoted cut to 40 characters, not written out in full.
+    code = dispatch(["construct", "--memory-b", "constant:-" + digits, "--steps", "3", "-o", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SpecInvalid",
+        "message": f"--memory-b constant must be nonnegative, got {('-' + digits)[:40]!r}",
+    }
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_memory_spec_from_json_file(tmp_path, capsys) -> None:

@@ -33,7 +33,7 @@ from robinhood import (
     survival_probability,
 )
 from robinhood.engine import VERY_OLD_KEY, _choose_uniform_subset, hypergeom_weights, sample_hypergeom
-from robinhood.rng import CounterRNG, stream_key, u01_from_word, word
+from robinhood.rng import CounterRNG, stream_key, word
 from robinhood.schedule import decimal_str
 
 from .conftest import make_instance
@@ -683,7 +683,7 @@ def test_fast_path_matches_scalar_streams(memoryless_121) -> None:
         alive = True
         for i in range(1, nights + 1):
             p = 1.0 / (i + 1)
-            u = u01_from_word(word(stream_key(seed, t, i), 0))
+            u = (word(stream_key(seed, t, i), 0) >> 11) * 2.0**-53
             if u < p:
                 alive = False
                 break

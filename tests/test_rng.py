@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from robinhood.rng import (
     mix64,
     mix64_vec,
     stream_key,
-    u01_from_word,
     word,
     words_vec,
 )
@@ -78,16 +75,6 @@ def test_stream_keys_are_distinct_across_path_components() -> None:
     assert len(seen) == 3 * 4 * 4
 
 
-def test_u01_range_and_resolution() -> None:
-    rng = CounterRNG(stream_key(7, 0, 1))
-    values = [rng.u01() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    # 53-bit mantissas: values are multiples of 2**-53.
-    assert all(v == math.ldexp(round(math.ldexp(v, 53)), -53) for v in values)
-    assert u01_from_word(0) == 0.0
-    assert u01_from_word(2**64 - 1) == (2**53 - 1) / 2**53
-
-
 def test_below_is_exact_and_in_range() -> None:
     rng = CounterRNG(99)
     for n in (1, 2, 3, 10, 97, 2**70 + 1):
@@ -112,14 +99,6 @@ def test_below_uniformity_chi_square() -> None:
     expected = n / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 32.0
-
-
-def test_spawned_children_do_not_overlap_parent() -> None:
-    parent = CounterRNG(314159)
-    child = parent.spawn(0)
-    parent_words = [parent.next64() for _ in range(100)]
-    child_words = [child.next64() for _ in range(100)]
-    assert not set(parent_words) & set(child_words)
 
 
 def test_bits_bounds() -> None:

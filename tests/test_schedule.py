@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -371,18 +372,52 @@ def test_restriction1_iff_nondecreasing_memory_gap(b_values) -> None:
 
 
 def raw_functions(lo: int, hi: int):
-    """Constant, affine and table specs with values mostly in [lo, hi]."""
-    closed = st.one_of(
-        st.builds(FunctionSpec.constant, st.integers(lo, hi)),
-        st.builds(FunctionSpec.affine, st.integers(-1, 1), st.integers(lo, hi)),
+    """Specs of every kind with values mostly in [lo, hi]. Tables nest over any
+    kind, so their prefixes shadow each other and some end in generated values."""
+    values = st.lists(st.integers(lo, hi), max_size=12)
+    leaves = st.one_of(
+        st.builds(FunctionSpec.constant, st.integers(max(lo, 0), hi)),
+        st.builds(FunctionSpec.affine, st.integers(-1, 2), st.integers(lo, hi)),
+        st.builds(FunctionSpec.generated, values),
     )
-    return closed | st.builds(FunctionSpec.table, st.lists(st.integers(lo, hi), max_size=12), closed)
+    return st.recursive(leaves, lambda tails: st.builds(FunctionSpec.table, values, tails), max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_functions(-2, 9))
+def test_every_spec_reads_prefix_then_tail_then_closed_form(fs) -> None:
+    assert parse_function(fs.to_obj(), "f") == fs
+    horizon = fs.hard_horizon()
+    stream = list(islice(fs, 40))
+    # Tables hold at most 12 values, so a stream that stops does so by index 12.
+    assert len(stream) == (40 if horizon is None else horizon)
+    assert stream == [fs.value_at(i) for i in range(1, len(stream) + 1)]
+    if horizon is not None:
+        with pytest.raises(IndexBeyondHorizon):
+            fs.value_at(horizon + 1)
+
+    bumped = spec_plus_one(fs)
+    assert parse_function(bumped.to_obj(), "f") == bumped
+    assert bumped.hard_horizon() == horizon
+    assert list(islice(bumped, 40)) == [v + 1 for v in stream]
+
+    ec = fs.eventually_constant()
+    if ec is not None:
+        value, start = ec
+        assert horizon is None and stream[start - 1 :] == [value] * (41 - start)
+    bound = bounded_memory_gap(fs)
+    if bound is not None:
+        gaps = [i - (min(v, i) if v >= 0 else 0) for i, v in enumerate(stream, 1)]
+        # With no negative value the bound is attained, by the index where the affine tail starts.
+        assert bound >= max(gaps) and (min(stream) < 0 or bound == max(gaps))
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_functions(-1, 6), raw_functions(0, 8), raw_functions(-2, 14), st.integers(1, 20))
 def test_values_read_from_prefix_sums_equal_the_raw_spec(r_spec, s_spec, b_spec, cap) -> None:
     inst = GameInstance(make_spec(r_spec, s_spec, b_spec), horizon_cap=cap)
+    # Generated values can end before the requested cap.
+    cap = inst.horizon_cap
     first_invalid = None
     for i in range(1, cap + 1):
         r, s, b = r_spec.value_at(i), s_spec.value_at(i), b_spec.value_at(i)
