@@ -9,7 +9,7 @@ d..N is a product of per-night non-removal factors, available in two modes:
   every i in [d, N];
 * ``exact_strategy`` — the bag's true survival law: the factor is
   ``1 - take/count`` of the cell that holds the bag on night i
-  (``GameInstance.cell``), which is ``1 - r(i)/Ltilde(i)`` once the bag is
+  (``GameInstance.cells``), which is ``1 - r(i)/Ltilde(i)`` once the bag is
   very old and the pool covers the quota, and 1 while removals do not
   reach its day in the memory window.
 
@@ -27,9 +27,9 @@ numeric diagnostics attached.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Any, Iterator
 
 from .errors import (
@@ -160,27 +160,22 @@ def _survival_points(
 
     # Fail before yielding anything, regardless of where the violation sits.
     # A violation on the valid prefix wins over an invalid day later on.
-    # cell(i) is (count, take): on night i the bag leaves a cell of count
-    # bags with probability take/count; paper mode reads the very-old pool.
+    # Each night is a cell's (count, take): on night i the bag leaves a cell
+    # of count bags with probability take/count; paper mode reads the very-old pool.
     if mode == MODE_PAPER:
         i = instance.restriction2_violations.first(d, horizon)
         if i is not None:
             raise RestrictionViolated(
                 f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
             )
-        instance.require_valid(horizon)
-
-        def cell(i: int) -> tuple[int, int]:
-            return instance.very_old_level(i), instance.r_at(i)
+        nights = ((ltilde, r) for r, ltilde in instance.terms(d, horizon))
     else:
-        instance.require_playable(horizon)
-        cell = partial(instance.cell, d)
+        nights = instance.cells(d, d, horizon)
 
     if space == SPACE_RATIONAL:
         acc = Fraction(1)
         yield d - 1, acc, None
-        for i in range(d, horizon + 1):
-            count, take = cell(i)
+        for i, (count, take) in enumerate(nights, d):
             if take:
                 acc *= Fraction(count - take, count)
             yield i, acc, None
@@ -188,8 +183,7 @@ def _survival_points(
 
     log_sum = RunningSum()
     yield d - 1, 1.0, log_sum.value
-    for i in range(d, horizon + 1):
-        count, take = cell(i)
+    for i, (count, take) in enumerate(nights, d):
         if take:
             if take == count:
                 log_sum.add(-math.inf)  # the bag leaves for sure: value 0
@@ -260,30 +254,30 @@ class SeriesDiagnostics:
 def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostics:
     """Partial sum, last term, and a log-log decay-slope estimate."""
     instance.check_horizon(horizon)
-    floats: list[float] = []
-    points: list[tuple[int, float]] = []
+    floats = array("d")
+    # Positive terms in the last decade of indices: the slope's candidates.
+    low = max(2, horizon // 10)
+    xs, ys = array("q"), array("d")
     last: tuple[int, int] | None = None
     first_undefined: int | None = None
-    for i in range(1, horizon + 1):
-        ltilde = instance.very_old_level(i)
+    # The valid prefix first: a term too large for a float raises before a later invalid day.
+    for i, (r, ltilde) in enumerate(instance.terms(1, instance.valid_end(horizon)), 1):
         if ltilde == 0:
             if first_undefined is None:
                 first_undefined = i
             continue
-        r = instance.r_at(i)
         last = (r, ltilde)
         # Int true division is correctly rounded: float(Fraction(r, ltilde)).
         value = r / ltilde
         floats.append(value)
-        if value > 0.0:
-            points.append((i, value))
+        if value > 0.0 and i >= low:
+            xs.append(i)
+            ys.append(value)
+    instance.require_valid(horizon)
 
-    # Slope of log(term) against log(i) over the last decade of indices.
-    low = max(2, horizon // 10)
-    window = [(math.log(i), math.log(v)) for i, v in points if i >= low]
-    if len(window) > 64:
-        stride = len(window) // 64 + 1
-        window = window[::stride]
+    # Slope of log(term) against log(i), on at most 64 strided candidates.
+    stride = len(xs) // 64 + 1 if len(xs) > 64 else 1
+    window = [(math.log(i), math.log(v)) for i, v in zip(xs[::stride], ys[::stride])]
     slope: float | None = None
     if len(window) >= 2 and window[0][0] != window[-1][0]:
         xbar = math.fsum(x for x, _ in window) / len(window)
@@ -435,10 +429,9 @@ def _classify_convergent(instance: GameInstance, horizon: int) -> Verdict | None
     if prefix_end >= horizon or (prefix_end and not instance.restriction2_violations.covers(1, prefix_end)):
         return None
     start = max(2, prefix_end + 1)
-    for i in range(start, horizon + 1):
-        # term(i) <= 1/i^2 by integer cross-multiplication (values are huge).
-        if instance.r_at(i) * i * i > instance.very_old_level(i):
-            return None
+    # term(i) <= 1/i^2 by integer cross-multiplication (values are huge).
+    if any(r * i * i > ltilde for i, (r, ltilde) in enumerate(instance.terms(start, horizon), start)):
+        return None
     certificate = {
         "majorant": "term(i) <= 1/i^2",
         "verified_from": start,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -113,33 +114,24 @@ def _default_horizon(args: argparse.Namespace, instance: GameInstance) -> int:
 
 def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum; ``validate``
-    has checked 1 <= horizon <= horizon_cap."""
-    end = instance.valid_end(horizon)
+    has checked 1 <= horizon <= horizon_cap. r and Ltilde are the instance's
+    ``terms``; s and b are the spec's own streams, b clamped to min(b(i), i) as
+    the instance clamps it (b(i) >= 0 on valid days); L(i) = L(i-1) + s(i) - r(i)."""
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
     partial_sum = RunningSum()
-    for i in range(1, end + 1):
-        r, s, b = instance.evaluate(i)
-        level = instance.cave_level(i)
-        ltilde = instance.very_old_level(i)
+    level = 0
+    spec = instance.spec
+    rows = zip(itertools.count(1), instance.terms(1, instance.valid_end(horizon)), spec.s_spec, spec.b_spec)
+    for i, (r, ltilde), s, b in rows:
+        level += s - r
+        term_text = ""
         if ltilde > 0:
             term = Fraction(r, ltilde)
             partial_sum.add(float(term))
             term_text = fraction_str(term)
-        else:
-            term_text = ""
-        writer.writerow(
-            [
-                i,
-                decimal_str(r),
-                decimal_str(s),
-                b,
-                decimal_str(level),
-                decimal_str(ltilde),
-                term_text,
-                repr(partial_sum.value),
-            ]
-        )
+        writer.writerow([i, decimal_str(r), decimal_str(s), min(b, i), decimal_str(level),
+                         decimal_str(ltilde), term_text, repr(partial_sum.value)])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -353,12 +345,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (LimitExceeded, VerificationFailed, ValidityViolated) as exc:
-        sys.stderr.write(canonical_dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
     except RobinHoodError as exc:
         sys.stderr.write(canonical_dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        return 2 if isinstance(exc, (LimitExceeded, VerificationFailed, ValidityViolated)) else 1
 
 
 def main() -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable
 
 from .analysis import (
@@ -231,12 +232,8 @@ def separating_instance(
         checked_through = limit
 
     # Certificates from the finished tables.
-    s_prefix = [0]
-    for v in s_table:
-        s_prefix.append(s_prefix[-1] + v)
-    r_prefix = [0]
-    for v in r_table:
-        r_prefix.append(r_prefix[-1] + v)
+    s_prefix = list(accumulate(s_table, initial=0))
+    r_prefix = list(accumulate(r_table, initial=0))
 
     certificates: list[StepCertificate] = []
     for i in range(1, steps + 1):
@@ -310,12 +307,8 @@ def verify_separation(
 
     # The playable horizon ends where the arrival table does; certificates
     # past it are recomputed from the same prefix-sum formula directly.
-    s_prefix = [0]
-    for v in s_table:
-        s_prefix.append(s_prefix[-1] + v)
-    r_prefix = [0]
-    for v in r_table:
-        r_prefix.append(r_prefix[-1] + v)
+    s_prefix = list(accumulate(s_table, initial=0))
+    r_prefix = list(accumulate(r_table, initial=0))
 
     def ltilde(i: int, mem: int) -> int | None:
         upper = i - mem

@@ -289,6 +289,8 @@ def _normalize_tags(tagged_days: Iterable[int | tuple[int, int]]) -> dict[int, l
         for name, value in (("day", day), ("position", pos)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SpecInvalid(f"tag {name} must be an integer, got {value!r}")
+            if name == "day" and value.bit_length() > 2000:  # past any horizon; less is below every digit cap
+                raise SpecInvalid(f"tag day {decimal_str(value)[:40]} has over 2000 bits: outside every horizon")
             if value < 1:
                 raise SpecInvalid(f"tag {name} must be >= 1, got {decimal_str(value)}")
         pending.setdefault(day, []).append(pos)
@@ -400,7 +402,7 @@ def empirical_survival(
 ) -> tuple[float, float, int]:
     """Monte Carlo estimate of a day-d bag's survival through ``nights``.
 
-    No trial runs the engine; the bag's cells come from ``GameInstance.cell``.
+    No trial runs the engine; the bag's cells come from ``GameInstance.cells``.
     ``oldest-det`` is FIFO by arrival rank, so the bag survives in every
     trial or in none. ``oldest-rnd`` draws night i of trial t from the stream
     keyed by stream_key(seed, t, i). With no window dip (Ltilde < r) on
@@ -425,7 +427,7 @@ def empirical_survival(
     if strategy is StrategyKind.OLDEST_DET:
         survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0
     else:
-        cells = [(i, count, take) for i in range(d, nights + 1) for count, take in [instance.cell(d, i)] if take]
+        cells = [(i, count, take) for i, (count, take) in enumerate(instance.cells(d, d, nights), d) if take]
         if instance.window_dips.first(1, nights) is None:
             trial_keys = child_keys_vec(seed & ((1 << 64) - 1), np.arange(trials, dtype=np.uint64))
             alive = np.ones(trials, dtype=bool)

@@ -573,12 +573,6 @@ class GameInstance:
         self._check_index(i, 1)
         return self._b[i]
 
-    def evaluate(self, i: int) -> tuple[int, int, int]:
-        """(r(i), s(i), clamped b(i)) for 1 <= i <= horizon_cap."""
-        self._check_index(i, 1)
-        sum_s, sum_r = self._sum_s, self._sum_r
-        return (sum_r[i] - sum_r[i - 1], sum_s[i] - sum_s[i - 1], self._b[i])
-
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
         self._check_index(i, 0)
@@ -604,23 +598,54 @@ class GameInstance:
         d = bisect_right(self._sum_s, removed, 0, i + 1)
         return d, removed - self._sum_s[d - 1]
 
-    def cell(self, d: int, i: int) -> tuple[int, int]:
-        """(count, take): the size of the cell holding a day-d bag as night i
-        begins (the very-old pool when d <= i - b(i), else day d's cell) and
-        how many of it night i removes. Under restriction 1 oldest-first
-        removal is FIFO over cells: after night j, max(0, S(x) - R(j)) bags
-        are left from days <= x for every x at or past night j's cutoff.
-        """
-        if not 1 <= d <= i <= self.horizon_cap:
-            raise IndexBeyondHorizon(f"cell of day {d} on night {i} outside 1 <= d <= i <= {self.horizon_cap}")
-        self.require_playable(i)
-        before, after = self._sum_r[i - 1], self._sum_r[i]
-        cutoff = i - self._b[i]
-        if d <= cutoff:
-            count = max(0, self._sum_s[cutoff] - before)
-            return count, min(after - before, count)
-        count = self._bags_left(d, before)
-        return count, count - self._bags_left(d, after)
+    def terms(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """(r(i), Ltilde(i)) for i = lo..hi, as ``r_at`` and ``very_old_level`` give them.
+        The range is checked once, at the call: it raises what the first failing
+        per-night call would raise, and nothing when lo > hi."""
+        first_bad = lo if lo < 1 else max(lo, self.valid_end(self.horizon_cap) + 1)
+        if first_bad <= hi:
+            self._check_index(first_bad, 1)
+
+        def walk() -> Iterator[tuple[int, int]]:
+            sum_s, sum_r, b = self._sum_s, self._sum_r, self._b
+            before = sum_r[lo - 1]
+            for i in range(lo, hi + 1):
+                after = sum_r[i]
+                pool = sum_s[i - b[i]] - before  # a conditional, not max(): this loop is the hot path
+                yield after - before, pool if pool > 0 else 0
+                before = after
+
+        return walk() if lo <= hi else iter(())
+
+    def cells(self, d: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """(count, take) for nights i = lo..hi: the size of the cell holding a day-d
+        bag as night i begins (the very-old pool when d <= i - b(i), else day d's
+        cell) and how many of it night i removes. Under restriction 1 oldest-first
+        removal is FIFO over cells: after night j, max(0, S(x) - R(j)) bags are left
+        from days <= x for every x at or past night j's cutoff. The range is checked
+        once, at the call: it raises what the first failing night would raise."""
+        first_bad = lo if not 1 <= d <= lo else max(lo, self._playable_through + 1)
+        if first_bad <= hi:
+            if not 1 <= d <= first_bad <= self.horizon_cap:
+                cap = self.horizon_cap
+                raise IndexBeyondHorizon(f"cell of day {d} on night {first_bad} outside 1 <= d <= i <= {cap}")
+            self.require_playable(first_bad)
+
+        def walk() -> Iterator[tuple[int, int]]:
+            sum_s, sum_r, b, left = self._sum_s, self._sum_r, self._b, self._bags_left
+            before = sum_r[lo - 1]
+            for i in range(lo, hi + 1):
+                after, cutoff = sum_r[i], i - b[i]
+                if d <= cutoff:
+                    pool, quota = sum_s[cutoff] - before, after - before
+                    count = pool if pool > 0 else 0
+                    yield count, quota if quota < count else count
+                else:
+                    count = left(d, before)
+                    yield count, count - left(d, after)
+                before = after
+
+        return walk() if lo <= hi else iter(())
 
     def _bags_left(self, d: int, removed: int) -> int:
         """How many of day d's bags are still in the cave once FIFO over all
@@ -629,7 +654,7 @@ class GameInstance:
 
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
         """[(key, count, take)]: the cells night i takes from, oldest first, as
-        ``cell`` gives them; the key is VERY_OLD_KEY for the very-old pool, else the arrival day.
+        ``cells`` gives them; the key is VERY_OLD_KEY for the very-old pool, else the arrival day.
         One bisection finds the oldest remembered day with bags left; the walk
         stops at the day of ``fifo_cut(i)``.
         """
@@ -660,17 +685,14 @@ class GameInstance:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""
         self.check_horizon(horizon)
 
-        first_invalid = self.first_invalid_index
-        if first_invalid is not None and first_invalid > horizon:
-            first_invalid = None
-        validity_ok = first_invalid is None
+        first_invalid = None if self.valid_end(horizon) == horizon else self.first_invalid_index
         r1_violation = None if self.restriction1_holds(horizon) else self.restriction1_first_violation
 
         gap_min, gap_max = self.memory_gap_range(horizon)
 
         return RestrictionReport(
             horizon=horizon,
-            validity_ok=validity_ok,
+            validity_ok=first_invalid is None,
             first_invalid_index=first_invalid,
             restriction1_ok=r1_violation is None,
             restriction1_first_violation=r1_violation,

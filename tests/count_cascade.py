@@ -32,7 +32,7 @@ class CountCascade:
 
     def step_day(self, i: int) -> None:
         """Day i's batch arrives, then days <= i - b(i) merge into the pool."""
-        _, s_i, b_i = self.instance.evaluate(i)
+        s_i, b_i = self.instance.s_at(i), self.instance.b_at(i)
         self.cells.append([i, s_i])
         self.cave_size += s_i
         cutoff = i - b_i

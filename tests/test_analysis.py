@@ -200,8 +200,8 @@ def test_exact_mode_multiplies_cells_through_window_dips() -> None:
     b_spec = FunctionSpec.table([0], FunctionSpec.constant(1))
     inst = make_instance(r_spec, s_spec, b_spec, horizon_cap=30)
     assert inst.very_old_level(2) < inst.r_at(2)
-    assert inst.cell(2, 2) == (4, 1) and inst.cell(2, 3) == (3, 2)
-    assert [inst.cell(5, i) for i in range(5, 11)] == [(9, 0)] + [(24 + 7 * k, 2) for k in range(5)]
+    assert list(inst.cells(2, 2, 3)) == [(4, 1), (3, 2)]
+    assert list(inst.cells(5, 5, 10)) == [(9, 0)] + [(24 + 7 * k, 2) for k in range(5)]
     expected = math.prod(Fraction(22 + 7 * k, 24 + 7 * k) for k in range(5))
     assert survival_probability(inst, 5, 10, mode=MODE_EXACT).value == expected
     assert survival_probability(inst, 2, 3, mode=MODE_EXACT).value == Fraction(3, 4) * Fraction(1, 3)

@@ -1,6 +1,6 @@
 """The closed-form cell ledger against the engine's former count cascade.
 
-``GameInstance.cell`` and ``night_cuts`` read cells from the prefix sums;
+``GameInstance.cells`` and ``night_cuts`` read cells from the prefix sums;
 the reference (``tests/count_cascade.py``) walks the partition night by
 night, as the engine did before it read the ledger. Exact survival and the
 Monte Carlo estimate are built on the ledger, so both are checked here
@@ -93,11 +93,11 @@ def engine_cells(inst: GameInstance) -> tuple[dict[tuple[int, int], tuple[int, i
 def test_cell_matches_the_engine_cascade(inst: GameInstance) -> None:
     cells, played, error = engine_cells(inst)
     for (d, i), counts in cells.items():
-        assert inst.cell(d, i) == counts
+        assert list(inst.cells(d, i, i)) == [counts]
     if error is not None:
         # Past the last playable night the ledger refuses as the engine did.
         for d in range(1, played + 2):
-            assert _outcome(inst.cell, d, played + 1) is error
+            assert _outcome(inst.cells, d, played + 1, played + 1) is error
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,7 +174,7 @@ def ref_first_error(inst: GameInstance, nights: int, tags: dict[int, list[int]])
     ref = CountCascade(inst)
     for i in range(1, nights + 1):
         try:
-            _, s_i, _ = inst.evaluate(i)
+            s_i = inst.s_at(i)
             if any(pos > s_i for pos in tags.get(i, ())):
                 raise SpecInvalid(f"tag outside day {i}'s batch")
             ref.step_day(i)

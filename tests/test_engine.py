@@ -87,7 +87,7 @@ def test_step_day_keeps_window_cells_under_positive_memory() -> None:
     assert ref.window_counts() == [(2, 3)]
     assert ref.very_old_count == 2
     assert ref.merge_cutoff == 2 - inst.b_at(2) == 1
-    assert inst.cell(2, 2) == (3, 0) and inst.cell(1, 2) == (2, 1)
+    assert list(inst.cells(2, 2, 2)) == [(3, 0)] and list(inst.cells(1, 2, 2)) == [(2, 1)]
     assert inst.night_cuts(2) == ref.cuts(2) == [(VERY_OLD_KEY, 2, 1)]
 
 
@@ -514,6 +514,22 @@ def test_tag_errors_write_values_past_the_digit_cap() -> None:
     assert str(caught.value) == f"tag position must be >= 1, got {decimal_str(-big)}"
 
 
+@pytest.mark.parametrize("day", [10**5000, 2**2000, -(10**5000)], ids=["1e5000", "2^2000", "-1e5000"])
+def test_a_tag_day_past_2000_bits_is_rejected_with_its_first_40_digits(day) -> None:
+    # The header writes tag days as JSON ints, which fail past the digit cap.
+    inst = make_instance(1, 2, 0, horizon_cap=5)
+    with pytest.raises(SpecInvalid) as caught:
+        run_trace(inst, DET, 3, 1, tagged_days=[day])
+    assert str(caught.value) == f"tag day {decimal_str(day)[:40]} has over 2000 bits: outside every horizon"
+
+
+def test_a_tag_day_of_2000_bits_is_written_to_the_header() -> None:
+    day = 2**2000 - 1
+    trace = run_trace(make_instance(1, 2, 0, horizon_cap=5), DET, 3, 1, tagged_days=[day, 2])
+    assert trace.header["tags"] == [[2, "1"], [day, "1"]]
+    assert trace.tagged[0].removed_night == 3
+
+
 def test_trace_header_writes_a_tag_position_past_the_digit_cap() -> None:
     gen = separating_instance(FunctionSpec.constant(0), 9)
     inst = GameInstance(gen.schedule_b(), horizon_cap=9)
@@ -661,7 +677,7 @@ def test_trace_record_counts_match_levels(memoryless_121) -> None:
 def test_cell_of_a_very_old_bag_is_the_pool(memoryless_121) -> None:
     # b = 0: the bag is very old from its own night, and the pool of
     # Ltilde(i) = i + 1 bags loses r(i) = 1; the vectorized draw uses 1/(i+1).
-    cells = [memoryless_121.cell(3, i) for i in range(3, 11)]
+    cells = list(memoryless_121.cells(3, 3, 10))
     assert cells == [(i + 1, 1) for i in range(3, 11)]
     assert [take / count for count, take in cells] == [1.0 / (i + 1) for i in range(3, 11)]
 
@@ -671,7 +687,7 @@ def test_cell_on_window_dips_is_the_bags_own_day() -> None:
     # 1's own cell of 2 bags: one leaves on night 1 and the last on night 2.
     inst = make_instance(1, 2, FunctionSpec.affine(1, 0), horizon_cap=10)
     assert inst.window_dips.first(1, 10) == 1
-    assert [inst.cell(1, i) for i in range(1, 5)] == [(2, 1), (1, 1), (0, 0), (0, 0)]
+    assert list(inst.cells(1, 1, 4)) == [(2, 1), (1, 1), (0, 0), (0, 0)]
 
 
 def test_fast_path_matches_scalar_streams(memoryless_121) -> None:

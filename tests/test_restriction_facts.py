@@ -214,7 +214,7 @@ def test_facts_match_the_scan_loops_they_replace(inst: GameInstance) -> None:
             if probs is not None:
                 # Where the closed very-old law applies, the ledger gives its
                 # probabilities and leaves every other night alone.
-                cells = [(i, inst.cell(d, i)) for i in range(d, horizon + 1)]
+                cells = list(enumerate(inst.cells(d, d, horizon), d))
                 assert [(i, take / count) for i, (count, take) in cells if take] == probs
         if valid and role == "c":
             verdict = _classify_pinned_pool(inst, horizon)

@@ -38,6 +38,7 @@ from robinhood.analysis import RunningSum
 from robinhood.cli import dispatch
 
 from .conftest import make_instance
+from .per_night_kernels import ref_cell
 
 MAGNITUDES = [1e16, -1e16, 1.0, -1.0, 1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
 
@@ -134,7 +135,7 @@ def ref_log_curve(inst: GameInstance, d: int, horizon: int, mode: str) -> list[f
     out = [0.0]
     for i in range(d, horizon + 1):
         if mode == MODE_EXACT:
-            count, take = inst.cell(d, i)
+            count, take = ref_cell(inst, d, i)
         else:
             count, take = inst.very_old_level(i), inst.r_at(i)
         if take:

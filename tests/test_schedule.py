@@ -424,11 +424,10 @@ def test_values_read_from_prefix_sums_equal_the_raw_spec(r_spec, s_spec, b_spec,
         if not (1 <= r < s and b >= 0):
             first_invalid = i
             break
-        assert inst.evaluate(i) == (r, s, min(b, i))
         assert (inst.r_at(i), inst.s_at(i), inst.b_at(i)) == (r, s, min(b, i))
     assert inst.first_invalid_index == first_invalid
     for i in range(first_invalid or cap + 1, cap + 1):
-        for read in (inst.r_at, inst.s_at, inst.evaluate):
+        for read in (inst.r_at, inst.s_at, inst.b_at):
             with pytest.raises(SpecInvalid):
                 read(i)
 
