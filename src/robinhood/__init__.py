@@ -25,7 +25,6 @@ from .analysis import (
     classify,
     fraction_str,
     series_diagnostics,
-    series_term,
     survival_curve,
     survival_probability,
 )
@@ -57,7 +56,6 @@ from .errors import (
     RobinHoodError,
     ScheduleExhausted,
     SpecInvalid,
-    TermUndefined,
     ValidityViolated,
     VerificationFailed,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "IndexBeyondHorizon",
     "ScheduleExhausted",
     "LimitExceeded",
-    "TermUndefined",
     "RestrictionViolated",
     "ValidityViolated",
     "VerificationFailed",
@@ -103,7 +100,6 @@ __all__ = [
     "survival_curve",
     "survival_probability",
     "SurvivalResult",
-    "series_term",
     "series_diagnostics",
     "SeriesDiagnostics",
     "classify",

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .errors import (
-    IndexBeyondHorizon,
-    RestrictionViolated,
-    SpecInvalid,
-    TermUndefined,
-    VerificationFailed,
-)
+from .errors import LimitExceeded, RestrictionViolated, SpecInvalid, VerificationFailed
 from .schedule import GameInstance, bounded_memory_gap, decimal_str
 
 MODE_PAPER = "paper_product"
@@ -104,14 +98,6 @@ class RunningSum:
         self.value = math.fsum(partials)
 
 
-def series_term(instance: GameInstance, i: int) -> Fraction:
-    """Exact reduced r(i)/Ltilde(i); TermUndefined when Ltilde(i) = 0."""
-    ltilde = instance.very_old_level(i)
-    if ltilde == 0:
-        raise TermUndefined(f"very-old level is 0 at night {i}; term r({i})/Ltilde({i}) undefined")
-    return Fraction(instance.r_at(i), ltilde)
-
-
 @dataclass(frozen=True)
 class SurvivalResult:
     """Survival probability of a day-``day`` bag through night ``horizon``."""
@@ -153,10 +139,7 @@ def _survival_points(
         yield horizon, Fraction(1) if space == SPACE_RATIONAL else 1.0, 0.0 if space == SPACE_LOG else None
         return
 
-    if horizon > instance.horizon_cap:
-        raise IndexBeyondHorizon(
-            f"horizon {horizon} beyond instance horizon_cap {instance.horizon_cap}"
-        )
+    instance.check_horizon(horizon)
 
     # Fail before yielding anything, regardless of where the violation sits.
     # A violation on the valid prefix wins over an invalid day later on.
@@ -268,12 +251,19 @@ def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostic
             continue
         last = (r, ltilde)
         # Int true division is correctly rounded: float(Fraction(r, ltilde)).
-        value = r / ltilde
+        try:
+            value = r / ltilde
+        except OverflowError:
+            raise LimitExceeded(f"term r({i})/Ltilde({i}) of night {i} exceeds the float range") from None
         floats.append(value)
         if value > 0.0 and i >= low:
             xs.append(i)
             ys.append(value)
-    instance.require_valid(horizon)
+    instance.require_valid(1, horizon)
+    try:
+        partial_sum = math.fsum(floats)
+    except OverflowError:
+        raise LimitExceeded(f"partial sum of the terms through night {horizon} exceeds the float range") from None
 
     # Slope of log(term) against log(i), on at most 64 strided candidates.
     stride = len(xs) // 64 + 1 if len(xs) > 64 else 1
@@ -289,7 +279,7 @@ def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostic
 
     return SeriesDiagnostics(
         horizon=horizon,
-        partial_sum=math.fsum(floats),
+        partial_sum=partial_sum,
         last_term=Fraction(*last) if last is not None else None,
         term_decay_exponent_estimate=slope,
         first_undefined_index=first_undefined,
@@ -445,11 +435,9 @@ def _classify_convergent(instance: GameInstance, horizon: int) -> Verdict | None
 def classify(instance: GameInstance, horizon: int) -> Verdict:
     """Apply the certificate rules in order; Undetermined is the fallback.
 
-    Each rule reads ``horizon`` as checked here, within [1, horizon_cap]."""
-    if instance.first_invalid_index is not None:
-        raise SpecInvalid(
-            f"cannot classify: schedule invalid from day {instance.first_invalid_index}"
-        )
+    Refuses a schedule with an invalid day anywhere in 1..horizon_cap; each rule
+    reads ``horizon`` as checked here, within [1, horizon_cap]."""
+    instance.require_valid(1, instance.horizon_cap)
     instance.check_horizon(horizon)
 
     for rule in (_classify_bounded_gap, _classify_pinned_pool, _classify_divergent, _classify_convergent):

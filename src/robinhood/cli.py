@@ -96,11 +96,9 @@ def _emit(obj: Any) -> None:
     sys.stdout.write(canonical_dumps(obj) + "\n")
 
 
-def _load_instance(args: argparse.Namespace, horizon_cap: int | None = None) -> GameInstance:
-    """Load the schedule, materialized at least through ``--horizon`` when given."""
+def _load_instance(args: argparse.Namespace, horizon_cap: int) -> GameInstance:
+    """Load the schedule, materialized through ``horizon_cap`` (or its spec's hard horizon)."""
     spec = load_schedule(args.schedule)
-    if horizon_cap is None:
-        horizon_cap = max(DEFAULT_HORIZON_CAP, getattr(args, "horizon", None) or 0)
     return GameInstance(spec, horizon_cap=horizon_cap, digit_budget=_resolve_budget(args))
 
 
@@ -128,14 +126,18 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
         term_text = ""
         if ltilde > 0:
             term = Fraction(r, ltilde)
-            partial_sum.add(float(term))
+            try:
+                partial_sum.add(float(term))
+            except OverflowError:
+                raise LimitExceeded(f"term or partial sum of night {i} exceeds the float range") from None
             term_text = fraction_str(term)
         writer.writerow([i, decimal_str(r), decimal_str(s), min(b, i), decimal_str(level),
                          decimal_str(ltilde), term_text, repr(partial_sum.value)])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
+    # The report and the table read nights 1..horizon only (1000 by default).
+    instance = _load_instance(args, max(1, args.horizon or 1000))
     horizon = _default_horizon(args, instance)
     report = instance.check_restrictions(horizon)
     if args.csv:
@@ -146,14 +148,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
+    # classify refuses a schedule with an invalid day anywhere it is materialized,
+    # so it keeps the DEFAULT_HORIZON_CAP floor: a smaller instance would certify
+    # schedules that are invalid between the horizon and that floor.
+    instance = _load_instance(args, max(DEFAULT_HORIZON_CAP, args.horizon or 0))
     horizon = _default_horizon(args, instance)
     _emit(classify(instance, horizon).as_dict())
     return 0
 
 
 def _cmd_survival(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
+    instance = _load_instance(args, max(1, args.horizon))  # reads nights day..horizon only
     mode = {"paper": MODE_PAPER, "exact": MODE_EXACT}[args.mode]
     space = {"rational": SPACE_RATIONAL, "log": SPACE_LOG}[args.space]
     result = survival_probability(instance, args.day, args.horizon, mode=mode, space=space)

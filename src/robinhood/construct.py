@@ -66,10 +66,6 @@ from .schedule import (
 
 DEVIATION_NOTE = "r=max(i+1,Ltilde_c)"
 
-#: Default step budget; digit counts roughly triple per step.
-DEFAULT_STEPS = 12
-
-
 @dataclass(frozen=True)
 class StepCertificate:
     """Per-index witness values recorded during construction.

@@ -105,7 +105,7 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
     Arrival days at or below i - b(i) form the very-old pool. A memory
     bound that grows by more than one per night would require a forgotten
     day to re-enter the window, which the oldest-first cells cannot
-    represent: ``instance.require_playable(i)`` raises RestrictionViolated.
+    represent: ``instance.require_playable(1, i)`` raises RestrictionViolated.
     """
     if i != state.night + 1 or state.day == i:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
@@ -122,7 +122,7 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
         state.tagged.append(TaggedBag(id=bag_id, day=i, pos=pos))
         state.in_cave.append(bag_id)
 
-    instance.require_playable(i)
+    instance.require_playable(1, i)
     state.day = i
     return state
 
@@ -308,13 +308,13 @@ def _require_traceable(instance: GameInstance, nights: int, pending: dict[int, l
     for d in sorted(pending):
         if d > nights:
             break
-        instance.require_playable(d - 1)
+        instance.require_playable(1, d - 1)
         s_d = instance.s_at(d)
         if pending[d][-1] > s_d:
             raise SpecInvalid(
                 f"tag position {decimal_str(pending[d][-1])} outside day {d}'s batch of size {decimal_str(s_d)}"
             )
-    instance.require_playable(nights)
+    instance.require_playable(1, nights)
 
 
 def run_trace(
@@ -422,7 +422,7 @@ def empirical_survival(
         return (1.0, 0.0, trials)
     if nights > instance.horizon_cap:
         raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
-    instance.require_playable(nights)
+    instance.require_playable(1, nights)
 
     if strategy is StrategyKind.OLDEST_DET:
         survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0

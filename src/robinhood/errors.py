@@ -33,11 +33,7 @@ class ScheduleExhausted(RobinHoodError):
 
 
 class LimitExceeded(RobinHoodError):
-    """An integer grew past the configured digit budget."""
-
-
-class TermUndefined(RobinHoodError):
-    """A series term r(i)/Ltilde(i) has a zero denominator."""
+    """An integer grew past the configured digit budget, or a float diagnostic past the float range."""
 
 
 class RestrictionViolated(RobinHoodError):

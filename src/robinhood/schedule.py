@@ -419,6 +419,7 @@ class GameInstance:
         "restriction1_first_violation",
         "restriction2_violations",
         "window_dips",
+        "_valid_through",
         "_playable_through",
         "_gap_highs",
         "_gap_lows",
@@ -504,8 +505,8 @@ class GameInstance:
         self._sum_r = sum_r
         self.first_invalid_index = first_invalid
         self.restriction1_first_violation = first_break
-        valid_end = self.valid_end(cap)
-        # The last n <= cap that require_playable(n) passes.
+        valid_end = self._valid_through = self.valid_end(cap)
+        # The last nights that require_valid and require_playable pass.
         self._playable_through = valid_end if first_break is None else min(valid_end, first_break)
         self._gap_highs = NightRuns(high_edges)
         self._gap_lows = NightRuns(low_edges)
@@ -516,25 +517,43 @@ class GameInstance:
         self.restriction2_violations = NightRuns(r2_edges)
         self.window_dips = NightRuns(dip_edges)
 
-    def _check_index(self, i: int, low: int) -> None:
-        if not (low <= i <= self.horizon_cap):
-            raise IndexBeyondHorizon(
-                f"index {i} outside [{low}, {self.horizon_cap}] for this instance"
-            )
-        self.require_valid(i)
+    def _check_read(self, lo: int, hi: int, last: int) -> None:
+        """Raise what reading nights lo..hi raises, before any night is read, when
+        nights 1..last (last <= horizon_cap) are the readable ones; nothing when lo > hi.
+
+        The first failing night decides: IndexBeyondHorizon outside 1..horizon_cap,
+        else what the first unreadable night, last + 1, raises: SpecInvalid from the
+        first invalid day on, RestrictionViolated after a memory break before it.
+        """
+        first = lo if lo < 1 else max(lo, last + 1)
+        if first > hi:
+            return
+        if not 1 <= first <= self.horizon_cap:
+            raise IndexBeyondHorizon(f"night {first} outside [1, {self.horizon_cap}] for this instance")
+        invalid = self.first_invalid_index
+        if invalid is not None and last + 1 >= invalid:
+            raise SpecInvalid(f"schedule invalid from day {invalid} (needs 1 <= r(i) < s(i) and b(i) >= 0)")
+        i = self.restriction1_first_violation
+        raise RestrictionViolated(
+            f"memory bound grows too fast at night {i}: b({i + 1}) > b({i}) + 1 would re-admit forgotten days"
+        )
 
     def check_horizon(self, horizon: int) -> None:
-        """Raise IndexBeyondHorizon unless 1 <= horizon <= horizon_cap."""
+        """Raise IndexBeyondHorizon unless 1 <= horizon <= horizon_cap; validity is not read."""
         if not 1 <= horizon <= self.horizon_cap:
-            raise IndexBeyondHorizon(f"horizon {horizon} outside [1, {self.horizon_cap}] for this instance")
+            self._check_read(horizon, horizon, self.horizon_cap)
 
-    def require_valid(self, i: int) -> None:
-        """Raise SpecInvalid unless days 1..i are all valid."""
-        if self.first_invalid_index is not None and i >= self.first_invalid_index:
-            raise SpecInvalid(
-                f"schedule invalid from day {self.first_invalid_index}"
-                " (needs 1 <= r(i) < s(i) and b(i) >= 0)"
-            )
+    def require_valid(self, lo: int, hi: int) -> None:
+        """Raise what reading nights lo..hi raises: IndexBeyondHorizon outside
+        1..horizon_cap, else SpecInvalid from the first invalid day on."""
+        if not 1 <= lo <= hi <= self._valid_through:
+            self._check_read(lo, hi, self._valid_through)
+
+    def require_playable(self, lo: int, hi: int) -> None:
+        """``require_valid``, and RestrictionViolated for a night after a memory break
+        before the first invalid day: what simulating nights lo..hi raises."""
+        if not 1 <= lo <= hi <= self._playable_through:
+            self._check_read(lo, hi, self._playable_through)
 
     def valid_end(self, horizon: int) -> int:
         """The last day <= horizon before the first invalid day."""
@@ -547,35 +566,22 @@ class GameInstance:
         first = self.restriction1_first_violation
         return first is None or first >= upto
 
-    def require_playable(self, n: int) -> None:
-        """Raise what the engine raises on nights 1..n: RestrictionViolated for a
-        memory break before the first invalid day, else SpecInvalid for an invalid day."""
-        if n <= self._playable_through:
-            return
-        if not self.restriction1_holds(self.valid_end(n)):
-            i = self.restriction1_first_violation
-            raise RestrictionViolated(
-                f"memory bound grows too fast at night {i}: b({i + 1}) > b({i}) + 1"
-                " would re-admit forgotten days"
-            )
-        self.require_valid(n)
-
     def r_at(self, i: int) -> int:
-        self._check_index(i, 1)
+        self.require_valid(i, i)
         return self._sum_r[i] - self._sum_r[i - 1]
 
     def s_at(self, i: int) -> int:
-        self._check_index(i, 1)
+        self.require_valid(i, i)
         return self._sum_s[i] - self._sum_s[i - 1]
 
     def b_at(self, i: int) -> int:
         """Memory bound at night i, clamped to min(b(i), i)."""
-        self._check_index(i, 1)
+        self.require_valid(i, i)
         return self._b[i]
 
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
-        self._check_index(i, 0)
+        self.require_valid(i or 1, i)  # night 0 reads no night: 1..0 is empty
         return self._sum_s[i] - self._sum_r[i]
 
     def very_old_level(self, i: int) -> int:
@@ -584,14 +590,14 @@ class GameInstance:
 
     def very_old_level_unclamped(self, i: int) -> int:
         """The inner sum of Ltilde(i) before the max-with-zero clamp."""
-        self._check_index(i, 1)
+        self.require_valid(i, i)
         return self._sum_s[i - self._b[i]] - self._sum_r[i - 1]
 
     def fifo_cut(self, i: int) -> tuple[int, int]:
         """(d, p) such that the first r(1) + ... + r(i) arrivals, which FIFO
         removal has taken by the end of night i, are the bags (day, pos) <= (d, p).
         """
-        self._check_index(i, 0)
+        self.require_valid(i or 1, i)  # night 0 reads no night: 1..0 is empty
         removed = self._sum_r[i]
         # Arrivals strictly increase on the valid days 1..i and outnumber
         # the removals through night i, so the search can stop at day i.
@@ -602,9 +608,7 @@ class GameInstance:
         """(r(i), Ltilde(i)) for i = lo..hi, as ``r_at`` and ``very_old_level`` give them.
         The range is checked once, at the call: it raises what the first failing
         per-night call would raise, and nothing when lo > hi."""
-        first_bad = lo if lo < 1 else max(lo, self.valid_end(self.horizon_cap) + 1)
-        if first_bad <= hi:
-            self._check_index(first_bad, 1)
+        self.require_valid(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
             sum_s, sum_r, b = self._sum_s, self._sum_r, self._b
@@ -624,12 +628,9 @@ class GameInstance:
         removal is FIFO over cells: after night j, max(0, S(x) - R(j)) bags are left
         from days <= x for every x at or past night j's cutoff. The range is checked
         once, at the call: it raises what the first failing night would raise."""
-        first_bad = lo if not 1 <= d <= lo else max(lo, self._playable_through + 1)
-        if first_bad <= hi:
-            if not 1 <= d <= first_bad <= self.horizon_cap:
-                cap = self.horizon_cap
-                raise IndexBeyondHorizon(f"cell of day {d} on night {first_bad} outside 1 <= d <= i <= {cap}")
-            self.require_playable(first_bad)
+        if lo <= hi and not 1 <= d <= lo:
+            raise IndexBeyondHorizon(f"cell of day {d} on night {lo} outside 1 <= d <= i <= {self.horizon_cap}")
+        self.require_playable(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
             sum_s, sum_r, b, left = self._sum_s, self._sum_r, self._b, self._bags_left
@@ -658,9 +659,7 @@ class GameInstance:
         One bisection finds the oldest remembered day with bags left; the walk
         stops at the day of ``fifo_cut(i)``.
         """
-        if not 1 <= i <= self.horizon_cap:
-            raise IndexBeyondHorizon(f"night {i} outside [1, {self.horizon_cap}] for this instance")
-        self.require_playable(i)
+        self.require_playable(i, i)
         sum_s, sum_r = self._sum_s, self._sum_r
         cutoff = i - self._b[i]
         before, after = sum_r[i - 1], sum_r[i]

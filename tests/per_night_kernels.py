@@ -6,7 +6,10 @@ night, each call repeating the instance's range and validity checks. The
 kernels now read ``GameInstance.terms`` and ``cells``, checked once per
 range, and ``cell`` is gone; ``ref_cell`` keeps it. These loops are what the
 tests check the streams and the streamed kernels against, as the count
-cascade was kept for the cell ledger.
+cascade was kept for the cell ledger. Their checks are the former ones
+(``tests/per_night_checks.py``), except that ``ref_cell`` reads a night through
+the instance's own per-night check, so that the ``cells`` stream can be
+held to its messages.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from robinhood import (
 )
 from robinhood.analysis import RunningSum
 
+from .per_night_checks import ref_check_horizon, ref_require_playable, ref_require_valid
+
 
 def ref_cell(inst: GameInstance, d: int, i: int) -> tuple[int, int]:
-    """The former per-night ``GameInstance.cell``: its checks, then the prefix sums."""
-    if not 1 <= d <= i <= inst.horizon_cap:
+    """The former per-night ``GameInstance.cell``: its day check, the night's read check, then the prefix sums."""
+    if not 1 <= d <= i:
         raise IndexBeyondHorizon(f"cell of day {d} on night {i} outside 1 <= d <= i <= {inst.horizon_cap}")
-    inst.require_playable(i)
+    inst.require_playable(i, i)
     sum_s, sum_r = inst._sum_s, inst._sum_r
     before, after = sum_r[i - 1], sum_r[i]
     cutoff = i - inst._b[i]
@@ -69,12 +74,12 @@ def ref_survival_points(inst: GameInstance, d: int, horizon: int, mode: str, spa
             raise RestrictionViolated(
                 f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
             )
-        inst.require_valid(horizon)
+        ref_require_valid(inst, horizon)
 
         def cell(i: int) -> tuple[int, int]:
             return inst.very_old_level(i), inst.r_at(i)
     else:
-        inst.require_playable(horizon)
+        ref_require_playable(inst, horizon)
         cell = partial(ref_cell, inst, d)
 
     if space == SPACE_RATIONAL:
@@ -103,7 +108,7 @@ def ref_survival_points(inst: GameInstance, d: int, horizon: int, mode: str, spa
 
 def ref_series_diagnostics(inst: GameInstance, horizon: int) -> SeriesDiagnostics:
     """Partial sum, last term and decay slope, one checked call per night."""
-    inst.check_horizon(horizon)
+    ref_check_horizon(inst, horizon)
     floats: list[float] = []
     points: list[tuple[int, float]] = []
     last: tuple[int, int] | None = None

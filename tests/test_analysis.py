@@ -24,12 +24,10 @@ from robinhood import (
     IndexBeyondHorizon,
     RestrictionViolated,
     SpecInvalid,
-    TermUndefined,
     VerificationFailed,
     classify,
     separating_instance,
     series_diagnostics,
-    series_term,
     survival_curve,
     survival_probability,
 )
@@ -55,23 +53,15 @@ def hand_instance(memory: int) -> GameInstance:
 
 
 def test_series_term_memoryless(memoryless_121) -> None:
-    assert series_term(memoryless_121, 9) == Fraction(1, 10)
-    assert series_term(memoryless_121, 1) == Fraction(1, 2)
+    assert Fraction(*next(memoryless_121.terms(9, 9))) == Fraction(1, 10)
+    assert Fraction(*next(memoryless_121.terms(1, 1))) == Fraction(1, 2)
 
 
 def test_series_term_reduces_generated_values() -> None:
     inst = hand_instance(0)
     # raw 6/222, reduced by the exact rational arithmetic
-    assert series_term(inst, 2) == Fraction(1, 37)
-    assert series_term(inst, 2) == Fraction(6, 222)
-
-
-def test_series_term_undefined_when_pool_is_empty() -> None:
-    b_spec = FunctionSpec.table([1, 2], FunctionSpec.constant(2))
-    inst = make_instance(1, 2, b_spec, horizon_cap=10)
-    assert inst.very_old_level(2) == 0
-    with pytest.raises(TermUndefined):
-        series_term(inst, 2)
+    assert list(inst.terms(2, 2)) == [(6, 222)]
+    assert Fraction(*next(inst.terms(2, 2))) == Fraction(1, 37)
 
 
 # --------------------------------------------------------------- survival

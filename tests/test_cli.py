@@ -511,3 +511,48 @@ def test_classify_writes_an_intercept_past_the_digit_cap(tmp_path, capsys) -> No
     assert verdict["certificate"]["witness"] == (
         f"for i >= 22: term(i) = 1/(2*i + {decimal_str(intercept)}), a divergent harmonic comparison"
     )
+
+
+def test_a_term_past_the_float_range_is_a_limit_error(tmp_path, capsys) -> None:
+    # Night 2 removes 10^400 bags from a very-old pool of S(1) - R(1) = 1:
+    # r(2)/Ltilde(2) = 10^400 has no float.
+    big = 10**400
+    path = tmp_path / "huge_term.json"
+    path.write_text(json.dumps({
+        "r": {"kind": "generated", "values": ["1", str(big), "1"]},
+        "s": {"kind": "generated", "values": ["2", str(big + 5), "3"]},
+        "b": {"kind": "table", "values": [0, 1, 2], "tail": {"kind": "constant", "value": 0}},
+    }))
+    for argv in (["classify", str(path), "--horizon", "3"], ["validate", str(path), "--horizon", "3", "--csv"]):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        error = json.loads(err)
+        assert err == canonical_dumps(error) + "\n"
+        assert error["error"] == "LimitExceeded" and "night 2" in error["message"], argv
+
+
+def test_each_command_materializes_the_nights_it_reads(sched, capsys, monkeypatch) -> None:
+    # validate and survival read nights 1..horizon only; classify refuses an
+    # invalid day anywhere it materializes, so it keeps the 10 000 floor.
+    caps: list[int] = []
+
+    def recorded(*args, **kwargs) -> GameInstance:
+        inst = GameInstance(*args, **kwargs)
+        caps.append(inst.horizon_cap)
+        return inst
+
+    wide = GameInstance(load_schedule(sched), horizon_cap=10_000)
+    monkeypatch.setattr(cli, "GameInstance", recorded)
+    for argv, cap, expected in [
+        (["validate", sched], 1000, wide.check_restrictions(1000)),
+        (["validate", sched, "--horizon", "50"], 50, wide.check_restrictions(50)),
+        (["survival", sched, "--day", "3", "--horizon", "99"], 99, survival_probability(wide, 3, 99)),
+        (["classify", sched, "--horizon", "50"], 10_000, classify(wide, 50)),
+    ]:
+        caps.clear()
+        assert run(capsys, *argv) == (0, canonical_dumps(expected.as_dict()) + "\n")
+        assert caps == [cap], argv
+    for command in ("validate", "classify"):
+        for horizon in ("0", "-5"):
+            assert dispatch([command, sched, "--horizon", horizon]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "IndexBeyondHorizon"

@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 import robinhood
+from robinhood import schedule
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -27,3 +28,27 @@ def test_package_has_no_assert_statements() -> None:
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def _read_errors_built(method: ast.FunctionDef) -> set[str]:
+    return {
+        node.func.id
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("IndexBeyondHorizon", "RestrictionViolated")
+    }
+
+
+def test_only_the_check_core_decides_read_errors() -> None:
+    # One method decides what reading a range of nights raises; every reader
+    # calls it through check_horizon, require_valid or require_playable. The
+    # one other read error is cells' check of the bag's day.
+    tree = ast.parse(Path(schedule.__file__).read_text(encoding="utf-8"))
+    (game,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "GameInstance"]
+    found = {
+        method.name: errors
+        for method in game.body
+        if isinstance(method, ast.FunctionDef) and (errors := _read_errors_built(method))
+    }
+    assert found == {"_check_read": {"IndexBeyondHorizon", "RestrictionViolated"}, "cells": {"IndexBeyondHorizon"}}

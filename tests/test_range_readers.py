@@ -24,6 +24,7 @@ from robinhood import (
     FunctionSpec,
     GameInstance,
     IndexBeyondHorizon,
+    LimitExceeded,
     RestrictionViolated,
     RobinHoodError,
     ScheduleSpec,
@@ -118,7 +119,7 @@ def test_empty_ranges_yield_nothing_and_check_nothing() -> None:
     # The same ranges, one night wider, reach the invalid day or the edge.
     with pytest.raises(SpecInvalid, match="schedule invalid from day 3"):
         inst.terms(3, 3)
-    with pytest.raises(IndexBeyondHorizon, match=r"index 0 outside \[1, 5\]"):
+    with pytest.raises(IndexBeyondHorizon, match=r"night 0 outside \[1, 5\]"):
         inst.terms(0, 0)
     with pytest.raises(IndexBeyondHorizon, match="cell of day 0 on night 1"):
         inst.cells(0, 1, 1)
@@ -170,8 +171,23 @@ def kernel_instances(draw) -> GameInstance:
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (RobinHoodError, OverflowError) as exc:
+    except RobinHoodError as exc:
         return type(exc), str(exc)
+
+
+def _ref_outcome(fn, *args):
+    """``_outcome`` of a reference loop; the package raises its float overflow as LimitExceeded."""
+    try:
+        return _outcome(fn, *args)
+    except OverflowError:
+        return LimitExceeded
+
+
+def _assert_same_outcome(got, want) -> None:
+    if want is LimitExceeded:
+        assert isinstance(got, tuple) and got[0] is LimitExceeded, got
+    else:
+        assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,20 +198,21 @@ def test_streamed_kernels_equal_their_per_night_loops(inst, data) -> None:
     horizon = cap if data is None else data.draw(st.integers(1, cap), label="horizon")
     d = 1 if data is None else data.draw(st.integers(1, horizon + 1), label="d")
     got = _outcome(series_diagnostics, inst, horizon)
-    assert got == _outcome(ref_series_diagnostics, inst, horizon)
+    _assert_same_outcome(got, _ref_outcome(ref_series_diagnostics, inst, horizon))
     if data is None:
         # 1/(10^400 + ...) rounds to 0.0 on every night: no slope candidates.
         assert got.partial_sum == 0.0 and got.term_decay_exponent_estimate is None
     for mode, space in MODES:
-        assert _outcome(lambda: list(_survival_points(inst, d, horizon, mode, space))) == _outcome(
-            lambda: list(ref_survival_points(inst, d, horizon, mode, space))
+        _assert_same_outcome(
+            _outcome(lambda: list(_survival_points(inst, d, horizon, mode, space))),
+            _ref_outcome(lambda: list(ref_survival_points(inst, d, horizon, mode, space))),
         )
 
 
 class CheckCounter:
-    """Counts the calls of the instance's per-night checks."""
+    """Counts the calls of the instance's read checks."""
 
-    NAMES = ("_check_index", "require_valid", "require_playable")
+    NAMES = ("check_horizon", "require_valid", "require_playable")
 
     def __init__(self, monkeypatch) -> None:
         self.calls = dict.fromkeys(self.NAMES, 0)

@@ -29,6 +29,7 @@ from robinhood import (
     SPACE_RATIONAL,
     FunctionSpec,
     GameInstance,
+    LimitExceeded,
     RobinHoodError,
     ScheduleSpec,
     series_diagnostics,
@@ -294,8 +295,16 @@ def big_value_instances(draw) -> GameInstance:
 def _diag_outcome(fn, *args):
     try:
         return fn(*args)
-    except (RobinHoodError, OverflowError) as exc:
+    except RobinHoodError as exc:
         return type(exc)
+
+
+def _ref_diag_outcome(fn, *args):
+    """``_diag_outcome`` of a reference; the package raises its float overflow as LimitExceeded."""
+    try:
+        return _diag_outcome(fn, *args)
+    except OverflowError:
+        return LimitExceeded
 
 
 @given(inst=big_value_instances(), data=st.data())
@@ -303,7 +312,7 @@ def _diag_outcome(fn, *args):
 def test_series_diagnostics_equals_the_fraction_reference(inst, data) -> None:
     horizon = data.draw(st.integers(1, inst.horizon_cap))
     got = _diag_outcome(series_diagnostics, inst, horizon)
-    want = _diag_outcome(ref_series_diagnostics, inst, horizon)
+    want = _ref_diag_outcome(ref_series_diagnostics, inst, horizon)
     if isinstance(want, type):
         assert got is want
         return
