@@ -50,6 +50,7 @@ from .rng import (
 from .schedule import VERY_OLD_KEY, GameInstance, canonical_dumps, decimal_str
 
 TRACE_FORMAT = "rh-trace-v1"
+MC_BLOCK_WORDS = 1 << 15  # size of one Monte Carlo draw's (nights x live trials) grid
 
 
 class StrategyKind(str, Enum):
@@ -406,12 +407,13 @@ def empirical_survival(
     ``oldest-det`` is FIFO by arrival rank, so the bag survives in every
     trial or in none. ``oldest-rnd`` draws night i of trial t from the stream
     keyed by stream_key(seed, t, i). With no window dip (Ltilde < r) on
-    nights 1..nights, all trials run at once, the bag leaving when the
-    night's 53-bit uniform is below take/count. Otherwise each trial draws
-    ``below(count)`` on each night that takes part of its cell and the bag
-    leaves when the draw is >= count - take: the one draw ``run_trace``
-    makes for a lone tag. Returns (estimate, stderr, trials) with
-    stderr = sqrt(p*(1-p)/trials).
+    nights 1..nights, the bag leaves on the first night whose 53-bit uniform
+    is below take/count; only live trials draw, a block of nights (about
+    MC_BLOCK_WORDS words) per call, and draws after a trial's death decide
+    nothing. Otherwise each trial draws ``below(count)`` on each night that
+    takes part of its cell and the bag leaves when the draw is >= count -
+    take: the one draw ``run_trace`` makes for a lone tag. Returns
+    (estimate, stderr, trials) with stderr = sqrt(p*(1-p)/trials).
     """
     strategy = as_strategy(strategy)
     if trials < 1:
@@ -429,14 +431,14 @@ def empirical_survival(
     else:
         cells = [(i, count, take) for i, (count, take) in enumerate(instance.cells(d, d, nights), d) if take]
         if instance.window_dips.first(1, nights) is None:
-            trial_keys = child_keys_vec(seed & ((1 << 64) - 1), np.arange(trials, dtype=np.uint64))
-            alive = np.ones(trials, dtype=bool)
-            for i, count, take in cells:
-                if not alive.any():
-                    break
-                u = (words_vec(child_keys_many(trial_keys, i), 0) >> np.uint64(11)) * 2.0**-53
-                alive &= u >= take / count
-            survivors = int(alive.sum())
+            cell_nights = np.array([i for i, _, _ in cells], dtype=np.uint64)
+            bar = np.array([take / count for _, count, take in cells])[:, None]  # int / int: one rounding
+            keys, lo = child_keys_vec(seed & ((1 << 64) - 1), np.arange(trials, dtype=np.uint64)), 0
+            while keys.size and lo < len(cells):
+                hi = lo + max(1, MC_BLOCK_WORDS // keys.size)
+                u = (words_vec(child_keys_many(keys, cell_nights[lo:hi]), 0) >> np.uint64(11)) * 2.0**-53
+                keys, lo = keys[(u >= bar[lo:hi]).all(axis=0)], hi
+            survivors = keys.size
         else:
             survivors = sum(
                 all(take < count and CounterRNG(stream_key(seed, t, i)).below(count) < count - take
@@ -445,5 +447,4 @@ def empirical_survival(
             )
 
     estimate = survivors / trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return (estimate, stderr, trials)
+    return (estimate, math.sqrt(estimate * (1.0 - estimate) / trials), trials)

@@ -86,11 +86,10 @@ def child_keys_vec(key: int, ps: np.ndarray) -> np.ndarray:
     return mix64_vec(incs)
 
 
-def child_keys_many(keys: np.ndarray, p: int) -> np.ndarray:
-    """child_key(key, p) for an array of keys and one child index p."""
-    inc = np.uint64(((p + 1) * _PHI) & _MASK)
-    domain = np.uint64(_STREAM_DOMAIN)
-    return mix64_vec(mix64_vec(keys.astype(np.uint64) ^ domain) + inc)
+def child_keys_many(keys: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """child_key(key, p) for child indices p (rows) and keys (columns)."""
+    incs = (ps.astype(np.uint64) + np.uint64(1)) * _NP_PHI
+    return mix64_vec(mix64_vec(keys.astype(np.uint64) ^ np.uint64(_STREAM_DOMAIN)) + incs[:, None])
 
 
 class CounterRNG:

@@ -6,14 +6,17 @@ night, as the engine did before it read the ledger. Exact survival and the
 Monte Carlo estimate are built on the ledger, so both are checked here
 against the cascade's counts and against a per-trial ``run_trace``
 reference (the loop ``empirical_survival`` ran before the ledger existed).
+With no window dip the estimate draws 53-bit uniforms instead, and is held
+to its scalar law (``tests/scalar_monte_carlo.py``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robinhood import (
@@ -27,11 +30,14 @@ from robinhood import (
     SpecInvalid,
     StrategyKind,
     empirical_survival,
+    engine,
     run_trace,
     survival_curve,
 )
+from robinhood.rng import stream_key, word
 
 from .count_cascade import VERY_OLD_KEY, CountCascade
+from .scalar_monte_carlo import ref_u01_survival
 
 DET = StrategyKind.OLDEST_DET
 RND = StrategyKind.OLDEST_RND
@@ -159,12 +165,82 @@ def test_monte_carlo_matches_a_per_trial_engine_reference(inst: GameInstance, da
     got = _outcome(empirical_survival, inst, d, nights, trials, seed, strategy)
     want = _outcome(ref_empirical, inst, d, nights, trials, seed, strategy)
     dip = any(inst.very_old_level(i) < inst.r_at(i) for i in range(1, inst.valid_end(nights) + 1))
-    if isinstance(want, tuple) and strategy is RND and not dip and nights >= d:
+    if isinstance(want, tuple) and strategy is RND and not dip:
         # The vectorized path draws a 53-bit uniform, not the engine's
-        # below(); its agreement is statistical (tests/test_engine.py).
-        assert isinstance(got, tuple)
-    else:
-        assert got == want
+        # below(): it agrees with the engine statistically (tests/test_engine.py)
+        # and with its own scalar law exactly.
+        want = ref_u01_survival(inst, d, nights, trials, seed)
+    assert got == want
+
+
+@st.composite
+def undipped_instances(draw) -> tuple[GameInstance, int]:
+    """A Restriction-1 schedule and a night count with no window dip up to it."""
+    cap = draw(st.integers(1, 60))
+    s = draw(st.lists(st.integers(2, 9), min_size=cap, max_size=cap))
+    r = [draw(st.integers(1, x - 1)) for x in s]
+    b = [0]
+    for _ in range(cap - 1):
+        b.append(max(0, b[-1] + draw(st.sampled_from([0, 0, 0, 1, -1]))))
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r, FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table(s, FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.table(b, FunctionSpec.constant(0)),
+    )
+    inst = GameInstance(spec, horizon_cap=cap)
+    nights = draw(st.integers(1, cap))
+    assume(inst.window_dips.first(1, nights) is None)
+    return inst, nights
+
+
+@settings(max_examples=60, deadline=None)
+@given(undipped_instances(), st.data())
+def test_vectorized_monte_carlo_is_its_scalar_law(case, data) -> None:
+    # One word per block gives one night per call; 97 words give many nights
+    # to a few trials and leave a partial last block; the module's size gives
+    # blocks that lengthen as trials die. Trials often all die early.
+    inst, nights = case
+    d = data.draw(st.integers(1, nights))
+    trials = data.draw(st.integers(1, 3000))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    words = data.draw(st.sampled_from([1, 97, engine.MC_BLOCK_WORDS]))
+    with mock.patch.object(engine, "MC_BLOCK_WORDS", words):
+        got = empirical_survival(inst, d, nights, trials, seed)
+    assert got == ref_u01_survival(inst, d, nights, trials, seed)
+
+
+def test_a_draw_equal_to_take_over_count_survives() -> None:
+    # Night 1 takes m of 2**53 bags, m being trial 0's 53-bit draw, so
+    # u == take/count exactly: the bag stays (u >= take/count), in both laws.
+    seed = 11
+    m = word(stream_key(seed, 0, 1), 0) >> 11
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table([m], FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table([2**53], FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.constant(0),
+    )
+    inst = GameInstance(spec, horizon_cap=1)
+    assert list(inst.cells(1, 1, 1)) == [(2**53, m)]
+    assert empirical_survival(inst, 1, 1, 1, seed) == ref_u01_survival(inst, 1, 1, 1, seed) == (1.0, 0.0, 1)
+
+
+def test_dead_trials_draw_no_words() -> None:
+    # r=1, s=2, b=0 keeps about 1 trial in n alive after n nights, so drawing
+    # only for live trials costs a few words per trial, not one per night.
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.constant(1), s_spec=FunctionSpec.constant(2), b_spec=FunctionSpec.constant(0)
+    )
+    inst = GameInstance(spec, horizon_cap=2000)
+    trials, nights, drawn = 20000, 2000, []
+    words_vec = engine.words_vec
+
+    def counted(keys, n):
+        drawn.append(keys.size)
+        return words_vec(keys, n)
+
+    with mock.patch.object(engine, "words_vec", counted):
+        empirical_survival(inst, 1, nights, trials, seed=1)
+    assert 0 < sum(drawn) < trials * nights / 100
 
 
 def ref_first_error(inst: GameInstance, nights: int, tags: dict[int, list[int]]) -> type | None:

@@ -60,10 +60,15 @@ def test_vectorized_children_match_scalar() -> None:
     ps = list(range(10))
     vec = child_keys_vec(key, np.array(ps, dtype=np.uint64))
     assert [int(v) for v in vec] == [child_key(key, p) for p in ps]
-    # ... and the transposed variant: many keys, one child index.
-    keys = [1, 2, 3, 2**63]
-    many = child_keys_many(np.array(keys, dtype=np.uint64), 5)
-    assert [int(v) for v in many] == [child_key(k, 5) for k in keys]
+
+
+def test_child_key_grid_matches_scalar() -> None:
+    # Row p, column key; keys and indices near 2**64 wrap in uint64.
+    keys = [0, 1, 3, 2**63, 2**64 - 2, 2**64 - 1]
+    ps = [0, 5, 2**32 + 7, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+    grid = child_keys_many(np.array(keys, dtype=np.uint64), np.array(ps, dtype=np.uint64))
+    assert grid.shape == (len(ps), len(keys))
+    assert [[int(v) for v in row] for row in grid] == [[child_key(k, p) for k in keys] for p in ps]
 
 
 def test_stream_keys_are_distinct_across_path_components() -> None:
