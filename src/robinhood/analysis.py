@@ -362,14 +362,11 @@ def _classify_divergent(instance: GameInstance, horizon: int) -> Verdict | None:
     transient, Ltilde grows by exactly s0 - r0 >= 1 per night, so the terms
     are bounded below by a harmonic tail and the series diverges.
     """
-    ec_r = instance.spec.r_spec.eventually_constant()
-    ec_s = instance.spec.s_spec.eventually_constant()
-    ec_b = instance.spec.b_spec.eventually_constant()
-    if ec_r is None or ec_s is None or ec_b is None:
+    spec = instance.spec
+    eventual = [fs.eventually_constant() for fs in (spec.r_spec, spec.s_spec, spec.b_spec)]
+    if None in eventual:
         return None
-    r0, from_r = ec_r
-    s0, from_s = ec_s
-    b0, from_b = ec_b
+    (r0, from_r), (s0, from_s), (b0, from_b) = eventual
     if not (1 <= r0 < s0 and b0 >= 0):
         return None
 

@@ -41,6 +41,7 @@ from .errors import (
 from .rng import (
     RNG_VERSION,
     CounterRNG,
+    child_key,
     child_keys_many,
     child_keys_vec,
     stream_key,
@@ -420,6 +421,8 @@ def empirical_survival(
         raise SpecInvalid(f"trials must be >= 1, got {trials}")
     if d < 1:
         raise SpecInvalid(f"day must be >= 1, got {d}")
+    if nights < d - 1:
+        raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={d}")
     if nights < d:
         return (1.0, 0.0, trials)
     if nights > instance.horizon_cap:
@@ -440,10 +443,11 @@ def empirical_survival(
                 keys, lo = keys[(u >= bar[lo:hi]).all(axis=0)], hi
             survivors = keys.size
         else:
+            # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive each trial's key once.
             survivors = sum(
-                all(take < count and CounterRNG(stream_key(seed, t, i)).below(count) < count - take
+                all(take < count and CounterRNG(child_key(trial_key, i)).below(count) < count - take
                     for i, count, take in cells)
-                for t in range(trials)
+                for trial_key in (child_key(seed, t) for t in range(trials))
             )
 
     estimate = survivors / trials

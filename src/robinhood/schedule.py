@@ -33,7 +33,8 @@ import json
 from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
-from itertools import count, islice, repeat
+from functools import cached_property
+from itertools import count, repeat
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
@@ -163,43 +164,43 @@ class FunctionSpec:
     def generated(values: list[int] | tuple[int, ...]) -> "FunctionSpec":
         return FunctionSpec(kind="generated", values=tuple(values))
 
+    @cached_property
+    def flat(self) -> tuple[tuple[int, ...], tuple[int, int] | None]:
+        """(prefix, closed): the values at i = 1..len(prefix), each from the outermost table holding i,
+        then ``a * i + c`` for closed = (a, c), or None where generated values end. The one walk down ``tail``."""
+        prefix, fs = tuple(self.values), self
+        while fs.tail is not None:
+            fs = fs.tail
+            prefix += fs.values[len(prefix) :]
+        return prefix, None if fs.kind == "generated" else (fs.a, fs.c)
+
     def value_at(self, i: int) -> int:
         """Raw function value at day i >= 1 (no clamping applied)."""
+        prefix, closed = self.flat
         if i < 1:
             raise IndexBeyondHorizon(f"index {i} is below 1")
-        if i <= len(self.values):
-            return self.values[i - 1]
-        if self.tail is not None:
-            return self.tail.value_at(i)
-        if self.kind == "generated":
-            raise IndexBeyondHorizon(
-                f"generated values end at index {len(self.values)}; refusing index {i}"
-            )
-        return self.a * i + self.c
+        if i <= len(prefix):
+            return prefix[i - 1]
+        if closed is None:
+            raise IndexBeyondHorizon(f"generated values end at index {len(prefix)}; refusing index {i}")
+        return closed[0] * i + closed[1]
 
     def __iter__(self) -> Iterator[int]:
         """The values at i = 1, 2, ...; the stream ends after index ``hard_horizon()`` when that is not None."""
-        yield from self.values
-        n = len(self.values)
-        if self.tail is not None:
-            yield from islice(self.tail, n, None)
-        elif self.kind != "generated":
-            yield from count(self.a * (n + 1) + self.c, self.a) if self.a else repeat(self.c)
+        prefix, closed = self.flat
+        yield from prefix
+        if closed is not None:
+            a, c = closed
+            yield from count(a * (len(prefix) + 1) + c, a) if a else repeat(c)
 
     def hard_horizon(self) -> int | None:
         """Largest defined index, or None when defined for all i >= 1."""
-        if self.tail is None:
-            return len(self.values) if self.kind == "generated" else None
-        th = self.tail.hard_horizon()
-        return None if th is None else max(len(self.values), th)
+        return len(self.flat[0]) if self.flat[1] is None else None
 
     def eventually_constant(self) -> tuple[int, int] | None:
         """(value, from_index) if provably constant from some index on."""
-        if self.tail is not None:
-            ec = self.tail.eventually_constant()
-        else:
-            ec = None if self.kind == "generated" or self.a else (self.c, 1)
-        return None if ec is None else (ec[0], max(ec[1], len(self.values) + 1))
+        prefix, closed = self.flat
+        return None if closed is None or closed[0] else (closed[1], len(prefix) + 1)
 
     def to_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
         """JSON-ready dict (generated values become decimal strings, through ``text``)."""
@@ -436,14 +437,9 @@ class GameInstance:
     ):
         self.spec = spec
 
-        hard = None
-        for fs in (spec.r_spec, spec.s_spec, spec.b_spec):
-            h = fs.hard_horizon()
-            if h is not None:
-                hard = h if hard is None else min(hard, h)
-        cap = DEFAULT_HORIZON_CAP if horizon_cap is None else horizon_cap
-        if hard is not None:
-            cap = min(cap, hard)
+        # A spec with no closed form ends the instance where its values end.
+        ends = [fs.hard_horizon() for fs in (spec.r_spec, spec.s_spec, spec.b_spec)]
+        cap = min(h for h in [DEFAULT_HORIZON_CAP if horizon_cap is None else horizon_cap, *ends] if h is not None)
         if cap < 0:
             raise SpecInvalid(f"horizon_cap must be nonnegative, got {cap}")
         self.horizon_cap = cap
@@ -717,26 +713,17 @@ def spec_plus_one(fs: FunctionSpec) -> FunctionSpec:
     )
 
 
-def bounded_memory_gap(fs: FunctionSpec, start_i: int = 1) -> int | None:
-    """Supremum of i - min(b(i), i) over i >= start_i, when the family proves one.
+def bounded_memory_gap(fs: FunctionSpec) -> int | None:
+    """Supremum of i - min(b(i), i) over i >= 1, when the family proves one.
 
     Returns the bound for specs where the gap is provably bounded (affine
     slope >= 1, possibly behind a finite table prefix), else None. Constant
     and generated specs never prove boundedness.
     """
-    n = len(fs.values)
-    after = max(start_i, n + 1)
-    if fs.tail is not None:
-        tail_bound = bounded_memory_gap(fs.tail, after)
-        if tail_bound is None:
-            return None
-    elif fs.kind == "generated" or fs.a < 1:
+    prefix, closed = fs.flat
+    if closed is None or closed[0] < 1:
         return None
-    else:
-        # Gap i - (a*i + c) is nonincreasing for a >= 1: sup is at the first index past the prefix.
-        tail_bound = max(after - (fs.a * after + fs.c), 0)
-    prefix = 0
-    for i in range(start_i, n + 1):
-        v = fs.values[i - 1]
-        prefix = max(prefix, i - min(v, i) if v >= 0 else i)
-    return max(prefix, tail_bound)
+    a, c = closed
+    # Gap i - (a*i + c) is nonincreasing for a >= 1: its sup is at the first index past the prefix.
+    after = len(prefix) + 1
+    return max(0, after - (a * after + c), *(i - min(v, i) if v >= 0 else i for i, v in enumerate(prefix, 1)))

@@ -275,7 +275,7 @@ def test_classify_full_memory_bounded_gap() -> None:
 
 def test_classify_contradicted_family_bound_fails_verification(monkeypatch) -> None:
     # A wrong symbolic bound must stop classification even under python -O.
-    monkeypatch.setattr(analysis, "bounded_memory_gap", lambda fs, start_i=1: -1)
+    monkeypatch.setattr(analysis, "bounded_memory_gap", lambda fs: -1)
     inst = make_instance(1, 2, FunctionSpec.affine(1, 0), horizon_cap=20)
     with pytest.raises(VerificationFailed):
         classify(inst, 20)

@@ -31,11 +31,13 @@ from robinhood import (
     StrategyKind,
     empirical_survival,
     engine,
+    rng,
     run_trace,
     survival_curve,
 )
-from robinhood.rng import stream_key, word
+from robinhood.rng import CounterRNG, stream_key, word
 
+from .conftest import make_instance
 from .count_cascade import VERY_OLD_KEY, CountCascade
 from .scalar_monte_carlo import ref_u01_survival
 
@@ -241,6 +243,32 @@ def test_dead_trials_draw_no_words() -> None:
     with mock.patch.object(engine, "words_vec", counted):
         empirical_survival(inst, 1, nights, trials, seed=1)
     assert 0 < sum(drawn) < trials * nights / 100
+
+
+def test_dip_trials_derive_each_trial_key_once() -> None:
+    # r=1, s=3, b=1 dips into the window on night 1, so every trial draws
+    # below(count) from stream_key(seed, t, i) = child_key(child_key(seed, t), i):
+    # one key per trial and one per draw, not two per draw.
+    inst = make_instance(1, 3, 1, horizon_cap=60)
+    assert inst.window_dips.first(1, 60) == 1
+    d, nights, trials, seed = 5, 60, 50, 7
+    derived, draws = [], []
+    child_key, below = rng.child_key, CounterRNG.below
+
+    def counted_key(key: int, p: int) -> int:
+        derived.append(p)
+        return child_key(key, p)
+
+    def counted_below(self: CounterRNG, n: int) -> int:
+        draws.append(n)
+        return below(self, n)
+
+    with mock.patch.object(rng, "child_key", counted_key), mock.patch.object(
+        engine, "child_key", counted_key
+    ), mock.patch.object(CounterRNG, "below", counted_below):
+        got = empirical_survival(inst, d, nights, trials, seed)
+    assert 0 < len(draws) and len(derived) <= trials + len(draws)
+    assert got == ref_empirical(inst, d, nights, trials, seed, RND)
 
 
 def ref_first_error(inst: GameInstance, nights: int, tags: dict[int, list[int]]) -> type | None:

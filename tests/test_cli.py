@@ -273,7 +273,25 @@ def test_simulate_trials_requires_one_tag_day(sched, capsys) -> None:
     code = dispatch(
         ["simulate", sched, "--nights", "5", "--trials", "100", "--tag-day", "1", "--tag-day", "2"]
     )
-    assert code == 1
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SpecInvalid",
+        "message": "--trials needs exactly one --tag-day to estimate",
+    }
+
+
+def test_simulate_trials_refuses_a_bag_after_the_last_night(sched, capsys) -> None:
+    # As survival refuses --horizon below --day - 1; a bag of day nights + 1 still survives with certainty.
+    code = dispatch(["simulate", sched, "--nights", "5", "--trials", "3", "--tag-day", "9"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SpecInvalid",
+        "message": "nights must be >= day - 1, got nights=5 day=9",
+    }
+    code, out = run(capsys, "simulate", sched, "--nights", "5", "--trials", "3", "--tag-day", "6")
+    assert code == 0 and json.loads(out)["estimate"] == 1.0
 
 
 def test_construct_writes_three_files(tmp_path, capsys) -> None:

@@ -748,3 +748,6 @@ def test_empirical_survival_validates_inputs(memoryless_121) -> None:
         empirical_survival(memoryless_121, 1, 5, 0, seed=0)
     with pytest.raises(ScheduleExhausted):
         empirical_survival(memoryless_121, 1, 10**6, 10, seed=0)
+    # A bag that arrives after the last night is refused, as survival refuses it.
+    with pytest.raises(SpecInvalid, match="nights must be >= day - 1"):
+        empirical_survival(memoryless_121, 9, 5, 3, seed=0)

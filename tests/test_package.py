@@ -52,3 +52,24 @@ def test_only_the_check_core_decides_read_errors() -> None:
         if isinstance(method, ast.FunctionDef) and (errors := _read_errors_built(method))
     }
     assert found == {"_check_read": {"IndexBeyondHorizon", "RestrictionViolated"}, "cells": {"IndexBeyondHorizon"}}
+
+
+def test_only_flat_walks_a_spec_tail() -> None:
+    # FunctionSpec.flat is the one walk down a spec's nesting, and every other
+    # reader reads its prefix and closed form; to_obj writes the nested form
+    # back, and spec_plus_one builds it.
+    tree = ast.parse(Path(schedule.__file__).read_text(encoding="utf-8"))
+    scopes = [(getattr(node, "name", ""), node) for node in tree.body if not isinstance(node, ast.ClassDef)]
+    scopes += [
+        (f"{cls.name}.{getattr(node, 'name', '')}", node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    ]
+    found = {
+        name
+        for name, scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Attribute) and node.attr == "tail"
+    }
+    assert found == {"FunctionSpec.flat", "FunctionSpec.to_obj", "spec_plus_one"}

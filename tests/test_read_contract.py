@@ -80,6 +80,8 @@ def _ref_classify(inst, horizon: int) -> None:
 def _ref_empirical_survival(inst, d: int, nights: int) -> None:
     if d < 1:
         raise SpecInvalid(f"day must be >= 1, got {d}")
+    if nights < d - 1:
+        raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={d}")
     if nights < d:
         return
     if nights > inst.horizon_cap:

@@ -18,6 +18,7 @@ from robinhood import (
     GameInstance,
     IndexBeyondHorizon,
     LimitExceeded,
+    RobinHoodError,
     SpecInvalid,
     canonical_dumps,
     load_schedule,
@@ -27,6 +28,13 @@ from robinhood import (
 from robinhood.schedule import bounded_memory_gap, decimal_str, parse_decimal, spec_plus_one
 
 from .conftest import make_instance, make_spec
+from .recursive_spec_walkers import (
+    ref_bounded_memory_gap,
+    ref_eventually_constant,
+    ref_hard_horizon,
+    ref_iter,
+    ref_value_at,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -410,6 +418,32 @@ def test_every_spec_reads_prefix_then_tail_then_closed_form(fs) -> None:
         gaps = [i - (min(v, i) if v >= 0 else 0) for i, v in enumerate(stream, 1)]
         # With no negative value the bound is attained, by the index where the affine tail starts.
         assert bound >= max(gaps) and (min(stream) < 0 or bound == max(gaps))
+
+
+def _outcome(read, *args):
+    """A call's value, or the class of the package error it raised."""
+    try:
+        return read(*args)
+    except RobinHoodError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_functions(-2, 9))
+@example(FunctionSpec.table([1, 2, 3], FunctionSpec.table([7], FunctionSpec.generated([4, 5]))))
+@example(FunctionSpec.table([], FunctionSpec.table([0, 0, 5], FunctionSpec.affine(1, -1))))
+@example(FunctionSpec.table([4], FunctionSpec.table([0, 0, 0], FunctionSpec.constant(2))))
+@example(FunctionSpec.generated([]))
+@example(FunctionSpec.affine(2, -2))
+def test_flat_readers_equal_the_recursive_walkers(fs) -> None:
+    # Tables hold at most 12 values, so index 60 is deep in the closed form.
+    for spec in (fs, spec_plus_one(fs)):
+        for i in range(-1, 61):
+            assert _outcome(spec.value_at, i) == _outcome(ref_value_at, spec, i)
+        assert list(islice(spec, 60)) == list(islice(ref_iter(spec), 60))
+        assert spec.hard_horizon() == ref_hard_horizon(spec)
+        assert spec.eventually_constant() == ref_eventually_constant(spec)
+        assert bounded_memory_gap(spec) == ref_bounded_memory_gap(spec)
 
 
 @settings(max_examples=300, deadline=None)
