@@ -16,9 +16,11 @@ finds the tags of each cell its quota touches as one slice by bisection on
 day, and ``oldest-det`` reads only the tags it removes.
 
 Randomness is addressable: the draw stream for night i of trial t under
-master seed S has key ``stream_key(S, t, i)`` (stream 0 is never drawn),
-which makes traces reproducible and lets the vectorized Monte Carlo path
-evaluate any (trial, night) cell independently.
+master seed S has key ``stream_key(S, t, i)`` = child_key(child_key(S, t), i)
+(stream 0 is never drawn), which makes traces reproducible and lets the
+vectorized Monte Carlo path evaluate any (trial, night) cell independently.
+A trace derives its trial's key once, then one key a night for
+``oldest-rnd``, and writes each night's record directly in canonical form.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -44,7 +47,6 @@ from .rng import (
     child_key,
     child_keys_many,
     child_keys_vec,
-    stream_key,
     words_vec,
 )
 # Removal records key the very-old pool by VERY_OLD_KEY, as night_cuts does.
@@ -52,6 +54,7 @@ from .schedule import VERY_OLD_KEY, GameInstance, canonical_dumps, decimal_str
 
 TRACE_FORMAT = "rh-trace-v1"
 MC_BLOCK_WORDS = 1 << 15  # size of one Monte Carlo draw's (nights x live trials) grid
+_DAY, _DAY_POS = attrgetter("day"), attrgetter("day", "pos")  # bisection keys on CaveState.tagged
 
 
 class StrategyKind(str, Enum):
@@ -222,22 +225,19 @@ def select_removals(
         raise SpecInvalid("randomized strategy needs an rng stream")
     cuts = instance.night_cuts(i)
 
-    in_cave = state.in_cave
-
-    def rank(bag_id: int) -> tuple[int, int]:
-        bag = state.tagged[bag_id - 1]
-        return bag.day, bag.pos
-
-    # in_cave is in (day, pos) order: FIFO reaches a run from its front, and a
-    # cell's tags, those of days key..key (1..i - b(i) for the pool), are one
-    # run in it.
+    # tagged is in id order, which is (day, pos) order, and so is in_cave: FIFO
+    # reaches a run from its front, and a cell's tags, those of days key..key
+    # (1..i - b(i) for the pool), are one run in it, found by bisecting ids.
+    in_cave, tagged = state.in_cave, state.tagged
+    removed_tagged: list[int] = []
     if strategy is StrategyKind.OLDEST_DET:
-        removed_tagged = in_cave[: bisect_right(in_cave, instance.fifo_cut(i), key=rank)]
-    else:
-        removed_tagged = []
+        last = bisect_right(tagged, instance.fifo_cut(i), key=_DAY_POS)  # the ids FIFO has reached are 1..last
+        removed_tagged = in_cave[: bisect_right(in_cave, last)]
+    elif in_cave:  # with no tag in the cave every draw is forced, so none is made
         for key, count, take in cuts:
-            lo = bisect_left(in_cave, (key, 0), key=rank)
-            t = bisect_left(in_cave, ((key or i - instance.b_at(i)) + 1, 0), lo, key=rank) - lo
+            lo = bisect_left(in_cave, bisect_left(tagged, key, key=_DAY) + 1)
+            end = bisect_left(tagged, (key or i - instance.b_at(i)) + 1, key=_DAY) + 1
+            t = bisect_left(in_cave, end, lo) - lo
             # A whole cell draws nothing: both draws are forced.
             j = sample_hypergeom(count, t, take, rng)
             removed_tagged.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
@@ -343,6 +343,8 @@ def run_trace(
         raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
 
     pending = _normalize_tags(tagged_days)
+    if pending and max(pending) > nights + 1:  # a bag of day nights + 1 arrives after the last night
+        raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={max(pending)}")
     _require_traceable(instance, nights, pending)
     state = CaveState(pending_tags={d: list(ps) for d, ps in pending.items()})
 
@@ -370,23 +372,20 @@ def run_trace(
             sink(text)
 
     emit(canonical_dumps(header))
+    # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive the trial's key once.
+    trial_key = child_key(seed, trial_index)
     for i in range(1, nights + 1):
         step_day(state, instance, i)
-        rng = CounterRNG(stream_key(seed, trial_index, i)) if strategy is StrategyKind.OLDEST_RND else None
+        rng = CounterRNG(child_key(trial_key, i)) if strategy is StrategyKind.OLDEST_RND else None
         plan = select_removals(state, instance, i, strategy, rng)
         apply_removals(state, plan)
         removed = [state.tagged[bag_id - 1] for bag_id in sorted(plan.removed_tagged)]
-        cave_after = instance.cave_level(i)
-        record = {
-            "i": i,
-            "cave_before": decimal_str(cave_after + instance.r_at(i)),
-            "cave_after": decimal_str(cave_after),
-            "removed_cells": [[key, decimal_str(take)] for key, take in plan.cells],
-            "tagged_events": [
-                {"id": bag.id, "day": bag.day, "pos": decimal_str(bag.pos), "night": i} for bag in removed
-            ],
-        }
-        emit(canonical_dumps(record))
+        after = instance.cave_level(i)
+        # The record as canonical_dumps would write it: keys sorted, no whitespace.
+        cells = ",".join([f'[{key},"{decimal_str(take)}"]' for key, take in plan.cells])
+        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{decimal_str(b.pos)}"}}' for b in removed])
+        emit(f'{{"cave_after":"{decimal_str(after)}","cave_before":"{decimal_str(after + instance.r_at(i))}",'
+             f'"i":{i},"removed_cells":[{cells}],"tagged_events":[{events}]}}')
 
     digest = hasher.hexdigest()
     if sink is not None:

@@ -274,7 +274,10 @@ def test_dip_trials_derive_each_trial_key_once() -> None:
 def ref_first_error(inst: GameInstance, nights: int, tags: dict[int, list[int]]) -> type | None:
     """The error class the former engine raised on the first night it could
     not play: an invalid day, then a tag outside the day's batch, then a
-    memory break, in that order within a night."""
+    memory break, in that order within a night. Before any night, a tag day
+    past nights + 1 is refused, as empirical_survival refuses it."""
+    if any(d > nights + 1 for d in tags):
+        return SpecInvalid
     ref = CountCascade(inst)
     for i in range(1, nights + 1):
         try:

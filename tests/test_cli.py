@@ -294,6 +294,23 @@ def test_simulate_trials_refuses_a_bag_after_the_last_night(sched, capsys) -> No
     assert code == 0 and json.loads(out)["estimate"] == 1.0
 
 
+def test_simulate_refuses_a_tag_day_after_the_last_night(tmp_path, capsys) -> None:
+    # The trace would list a tag that never arrives; --trials refuses the same bag.
+    sched = write_schedule(tmp_path / "sched.json", r=1, s=3, b=1)
+    out_path = tmp_path / "trace.jsonl"
+    for extra in ([], ["--out", str(out_path)]):
+        code = dispatch(["simulate", sched, "--nights", "5", "--tag-day", "9", *extra])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SpecInvalid",
+            "message": "nights must be >= day - 1, got nights=5 day=9",
+        }
+    assert not out_path.exists()
+    code, out = run(capsys, "simulate", sched, "--nights", "5", "--tag-day", "6", "--out", str(out_path))
+    assert code == 0 and json.loads(out_path.read_text(encoding="utf-8").splitlines()[0])["tags"] == [[6, "1"]]
+
+
 def test_construct_writes_three_files(tmp_path, capsys) -> None:
     stem = tmp_path / "sep.json"
     code, out = run(capsys, "construct", "--memory-b", "constant:0", "--steps", "5", "-o", str(stem))

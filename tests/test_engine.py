@@ -26,6 +26,8 @@ from robinhood import (
     StrategyKind,
     apply_removals,
     empirical_survival,
+    engine,
+    rng,
     run_trace,
     select_removals,
     separating_instance,
@@ -34,10 +36,11 @@ from robinhood import (
 )
 from robinhood.engine import VERY_OLD_KEY, _choose_uniform_subset, hypergeom_weights, sample_hypergeom
 from robinhood.rng import CounterRNG, stream_key, word
-from robinhood.schedule import decimal_str
+from robinhood.schedule import canonical_dumps, decimal_str
 
 from .conftest import make_instance
 from .count_cascade import CountCascade
+from .dict_record_engine import ref_trace_text
 
 DET = StrategyKind.OLDEST_DET
 RND = StrategyKind.OLDEST_RND
@@ -523,10 +526,17 @@ def test_a_tag_day_past_2000_bits_is_rejected_with_its_first_40_digits(day) -> N
     assert str(caught.value) == f"tag day {decimal_str(day)[:40]} has over 2000 bits: outside every horizon"
 
 
-def test_a_tag_day_of_2000_bits_is_written_to_the_header() -> None:
-    day = 2**2000 - 1
-    trace = run_trace(make_instance(1, 2, 0, horizon_cap=5), DET, 3, 1, tagged_days=[day, 2])
-    assert trace.header["tags"] == [[2, "1"], [day, "1"]]
+def test_a_tag_day_past_the_night_after_the_last_is_refused() -> None:
+    # As empirical_survival refuses it: the bag would never arrive. A day of
+    # 2000 bits passes the bit check and is refused here, before the nights are read.
+    inst = make_instance(1, 2, 0, horizon_cap=5)
+    for day in (5, 2**2000 - 1):
+        with pytest.raises(SpecInvalid) as caught:
+            run_trace(inst, DET, 3, 1, tagged_days=[day, 2])
+        assert str(caught.value) == f"nights must be >= day - 1, got nights=3 day={day}"
+    # A bag of day nights + 1 arrives after the last night, and is kept.
+    trace = run_trace(inst, DET, 3, 1, tagged_days=[4, 2])
+    assert trace.header["tags"] == [[2, "1"], [4, "1"]]
     assert trace.tagged[0].removed_night == 3
 
 
@@ -572,6 +582,86 @@ def test_thousand_tag_randomized_trace_is_pinned_and_fast() -> None:
     elapsed = time.perf_counter() - start
     assert trace.digest == "14e6149e1f9eb9f20329b3cba1612f6cb23823983577e7c7aa11dbbcf71b4049"
     assert elapsed < 5.0
+
+
+@st.composite
+def trace_inputs(draw):
+    """Valid run_trace inputs: Restriction-1 schedules with memory 0 (no
+    window dip) or a memory that mostly grows by one a night (dips), a
+    number of nights from 0 to the cap, and up to 40 distinct tags on days
+    1..nights + 1, several to a day."""
+    cap = draw(st.integers(1, 25))
+    s = draw(st.lists(st.integers(2, 9), min_size=cap, max_size=cap))
+    r = [draw(st.integers(1, x - 1)) for x in s]
+    b = [0]
+    if draw(st.booleans()):
+        for _ in range(cap - 1):
+            b.append(max(0, b[-1] + draw(st.sampled_from([1, 1, 1, 0, -1, -3]))))
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r, FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table(s, FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.table(b, FunctionSpec.constant(0)),
+    )
+    nights = draw(st.integers(0, cap))
+    sizes = [*s, 2]  # day cap + 1 is never stepped
+    tag = st.integers(1, nights + 1).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, sizes[d - 1])))
+    return GameInstance(spec, horizon_cap=cap), nights, draw(st.lists(tag, unique=True, max_size=40))
+
+
+def assert_trace_is_the_reference(trace, inst, strategy, nights, seed, tags, trial) -> None:
+    text = trace.to_jsonl()
+    assert text == ref_trace_text(inst, strategy, nights, seed, tags, trial)
+    lines = text.splitlines()
+    assert json.loads(lines[-1]) == {"digest": trace.digest}
+    for line in lines:
+        assert canonical_dumps(json.loads(line)) == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_inputs(), st.sampled_from([DET, RND]), st.integers(0, 3), st.integers(-(2**65), 2**70))
+def test_trace_text_equals_the_dict_record_reference(run, strategy, trial, seed) -> None:
+    # Seeds past 64 bits and below 0: the trial key is child_key(seed, trial),
+    # which must mask the seed as stream_key does.
+    inst, nights, tags = run
+    trace = run_trace(inst, strategy, nights, seed, tagged_days=tags, trial_index=trial)
+    assert_trace_is_the_reference(trace, inst, strategy, nights, seed, tags, trial)
+
+
+@pytest.mark.parametrize("strategy", [DET, RND])
+def test_trace_writes_counts_takes_and_positions_past_2000_bits(strategy) -> None:
+    # Past 2000 bits decimal_str leaves str for its big-integer branch.
+    gen = separating_instance(FunctionSpec.constant(0), 9)
+    inst = GameInstance(gen.schedule_b(), horizon_cap=9)
+    s8 = inst.s_at(8)
+    tags = [(2, 3), (8, 1), (8, 2**2001), (8, s8), (9, 2**5000)]
+    trace = run_trace(inst, strategy, 9, seed=3, tagged_days=tags, trial_index=1)
+    assert_trace_is_the_reference(trace, inst, strategy, 9, 3, tags, 1)
+    last = trace.records[-1]
+    (_, _, take), after = inst.night_cuts(9)[0], inst.cave_level(9)
+    assert min(take, after).bit_length() > 2000
+    assert (last["cave_after"], last["removed_cells"]) == (decimal_str(after), [[0, decimal_str(take)]])
+    if strategy is DET:  # FIFO empties days 1..8 on night 9
+        assert [(e["day"], e["pos"]) for e in last["tagged_events"]] == [(8, "1"), (8, str(2**2001)), (8, str(s8))]
+
+
+def test_a_trace_derives_one_stream_key_a_night(monkeypatch) -> None:
+    # Night i's key is child_key(trial key, i); the trial key is derived
+    # once, not again on every night through stream_key.
+    derived, child_key = [], rng.child_key
+
+    def counted_key(key: int, p: int) -> int:
+        derived.append(p)
+        return child_key(key, p)
+
+    monkeypatch.setattr(rng, "child_key", counted_key)
+    monkeypatch.setattr(engine, "child_key", counted_key)
+    for strategy, tags, bound, digest in (
+        (RND, 300, 2000 + 1, "db3c51d718034015243c629618b4bee22fc403aa09a2ca374d1ffb2da7260430"),
+        (DET, 1000, 1, "be7cd706f5975e63eef6252806fca1e71da0b95ae7d12df94ae8dc7418621881"),
+    ):
+        derived.clear()
+        trace = run_trace(_R1S3B2, strategy, 2000, 5, tagged_days=[(d, 1) for d in range(1, tags + 1)])
+        assert len(derived) <= bound and trace.digest == digest
 
 
 def test_a_night_costs_the_same_under_full_memory() -> None:

@@ -90,11 +90,15 @@ def _ref_empirical_survival(inst, d: int, nights: int) -> None:
 
 
 def _ref_run_trace(inst, nights: int, tag: int) -> None:
-    """run_trace's former checks for one bag tagged at position 1 of day ``tag``."""
+    """run_trace's former checks for one bag tagged at position 1 of day ``tag``;
+    after the checks of nights, a tag day past nights + 1 is refused, as
+    empirical_survival refuses it."""
     if nights < 0:
         raise SpecInvalid(f"nights must be >= 0, got {nights}")
     if nights > inst.horizon_cap:
         raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {inst.horizon_cap}")
+    if tag > nights + 1:
+        raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={tag}")
     if tag <= nights:
         ref_require_playable(inst, tag - 1)
         ref_check_index(inst, tag, 1)  # s(tag) >= 2 on a valid day holds position 1
