@@ -62,18 +62,17 @@ def fraction_str(value: Fraction) -> str:
 class RunningSum:
     """Running exactly rounded float sum: ``value`` is ``math.fsum`` of the terms so far.
 
-    Keeps Shewchuk's non-overlapping partials (Shewchuk 1997, *Adaptive
-    Precision Floating-Point Arithmetic*), the state ``math.fsum`` builds
-    internally, so each ``add`` costs the length of that short list instead
-    of a new pass over every term. Both ``math.fsum(partials)`` and
-    ``math.fsum(terms)`` are the correctly rounded exact sum, so every value
-    is bit-identical to ``math.fsum`` of the prefix.
+    Every finite float is n / 2**k with k <= 1074, so the exact sum of the
+    terms so far is one integer numerator over the largest power-of-two
+    denominator seen. ``num / den`` is correctly rounded, as ``math.fsum``
+    is, so every value is bit-identical to ``math.fsum`` of the prefix, and
+    a sum past the float range raises OverflowError.
     """
 
-    __slots__ = ("_partials", "value")
+    __slots__ = ("_num", "_den", "value")
 
     def __init__(self) -> None:
-        self._partials: list[float] = []
+        self._num, self._den = 0, 1
         self.value = 0.0
 
     def add(self, x: float) -> None:
@@ -81,21 +80,11 @@ class RunningSum:
         if x == -math.inf or self.value == -math.inf:
             self.value = -math.inf
             return
-        partials = self._partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if not math.isfinite(x):
-            raise OverflowError("intermediate overflow in fsum")
-        partials[i:] = [x]
-        self.value = math.fsum(partials)
+        n, d = x.as_integer_ratio()
+        if d > self._den:
+            self._num, self._den = self._num * (d // self._den), d
+        self._num += n * (self._den // d)
+        self.value = self._num / self._den
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import math
 import os
 import sys
@@ -86,10 +85,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "digit_budget", None) is not None:
-        return args.digit_budget
-    env = _env_int("RH_DIGIT_BUDGET")
-    return env if env is not None else DEFAULT_DIGIT_BUDGET
+    budget = getattr(args, "digit_budget", None)
+    if budget is None:
+        budget = _env_int("RH_DIGIT_BUDGET")
+    if budget is not None and budget < 1:
+        raise SpecInvalid(f"digit budget must be >= 1, got {budget}")
+    return DEFAULT_DIGIT_BUDGET if budget is None else budget
 
 
 def _emit(obj: Any) -> None:
@@ -113,16 +114,11 @@ def _default_horizon(args: argparse.Namespace, instance: GameInstance) -> int:
 def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum; ``validate``
     has checked 1 <= horizon <= horizon_cap. r and Ltilde are the instance's
-    ``terms``; s and b are the spec's own streams, b clamped to min(b(i), i) as
-    the instance clamps it (b(i) >= 0 on valid days); L(i) = L(i-1) + s(i) - r(i)."""
+    ``terms``; s, the clamped b and L are its ``s_at``, ``b_at`` and ``cave_level``."""
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
     partial_sum = RunningSum()
-    level = 0
-    spec = instance.spec
-    rows = zip(itertools.count(1), instance.terms(1, instance.valid_end(horizon)), spec.s_spec, spec.b_spec)
-    for i, (r, ltilde), s, b in rows:
-        level += s - r
+    for i, (r, ltilde) in enumerate(instance.terms(1, instance.valid_end(horizon)), 1):
         term_text = ""
         if ltilde > 0:
             term = Fraction(r, ltilde)
@@ -131,8 +127,8 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
             except OverflowError:
                 raise LimitExceeded(f"term or partial sum of night {i} exceeds the float range") from None
             term_text = fraction_str(term)
-        writer.writerow([i, decimal_str(r), decimal_str(s), min(b, i), decimal_str(level),
-                         decimal_str(ltilde), term_text, repr(partial_sum.value)])
+        writer.writerow([i, decimal_str(r), decimal_str(instance.s_at(i)), instance.b_at(i),
+                         decimal_str(instance.cave_level(i)), decimal_str(ltilde), term_text, repr(partial_sum.value)])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -254,6 +250,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.max_z) and args.max_z > 0):
+        raise SpecInvalid(f"--max-z must be a finite number > 0, got {args.max_z!r}")
     seed = _resolve_seed(args)
     instance = _load_instance(args, horizon_cap=args.nights)
     space = SPACE_RATIONAL if args.nights <= 2000 else SPACE_LOG

@@ -39,6 +39,7 @@ from typing import Any, Callable
 from .analysis import (
     KIND_ROBIN_SURELY,
     KIND_SHERIFF_AS,
+    RULE_BOUNDED_GAP,
     RULE_CONVERGENT,
     RULE_PINNED_POOL,
     SEPARATION_GENERATOR,
@@ -59,6 +60,7 @@ from .schedule import (
     FunctionSpec,
     GameInstance,
     ScheduleSpec,
+    bounded_memory_gap,
     canonical_dumps,
     decimal_str,
     spec_plus_one,
@@ -164,7 +166,8 @@ def separating_instance(
 ) -> SeparationInstance:
     """Run the construction for ``steps`` removal values.
 
-    Raises RestrictionViolated when b's memory gap can shrink or the
+    Raises RestrictionViolated when b's memory gap can shrink, is provably
+    bounded (``Prop1.1``: Robin then surely wins with memory b) or the
     widened gap i - c(i) never opens within the budget, ValidityViolated
     if any finished index has r(i) >= s(i), and LimitExceeded when values
     outgrow the digit budget.
@@ -178,6 +181,12 @@ def separating_instance(
             raise RestrictionViolated(
                 f"memory bound grows too fast at night {i}: b({i + 1}) > b({i}) + 1"
             )
+    bound = bounded_memory_gap(b_spec)
+    if bound is not None:
+        raise RestrictionViolated(
+            f"memory gap i - b(i) is at most {_show(bound)} ({RULE_BOUNDED_GAP}): Robin surely wins"
+            " with memory b, so no instance separates b from b + 1"
+        )
     c_vals = [0] + [min(b_vals[i] + 1, i) for i in range(1, steps + 2)]
     gaps = [0] + [i - c_vals[i] for i in range(1, steps + 2)]
     # Nondecreasing gaps follow from the memory restriction just checked.

@@ -116,13 +116,10 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
     if i > instance.horizon_cap:
         raise ScheduleExhausted(f"day {i} beyond instance horizon_cap {instance.horizon_cap}")
-    s_i = instance.s_at(i)
+    positions = sorted(state.pending_tags.pop(i, ()))  # ids in position order
+    _require_tag_positions(instance, i, positions)
 
-    for pos in sorted(state.pending_tags.pop(i, ())):  # ids in position order
-        if not (1 <= pos <= s_i):
-            raise SpecInvalid(
-                f"tag position {decimal_str(pos)} outside day {i}'s batch of size {decimal_str(s_i)}"
-            )
+    for pos in positions:
         bag_id = len(state.tagged) + 1
         state.tagged.append(TaggedBag(id=bag_id, day=i, pos=pos))
         state.in_cave.append(bag_id)
@@ -130,6 +127,14 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
     instance.require_playable(1, i)
     state.day = i
     return state
+
+
+def _require_tag_positions(instance: GameInstance, d: int, positions: list[int]) -> None:
+    """Raise SpecInvalid naming the smallest of the sorted ``positions`` outside day d's batch."""
+    s_d = instance.s_at(d)
+    for pos in positions:
+        if not 1 <= pos <= s_d:
+            raise SpecInvalid(f"tag position {decimal_str(pos)} outside day {d}'s batch of size {decimal_str(s_d)}")
 
 
 def hypergeom_weights(v: int, t: int, q: int) -> tuple[list[int], int]:
@@ -170,6 +175,8 @@ def sample_hypergeom(v: int, t: int, q: int, rng: CounterRNG) -> int:
         return 0
     if q == v:
         return t
+    if t == 1:  # weights (v - q, q) over v: one draw, no big-integer products
+        return int(rng.below(v) >= v - q)
     weights, total = hypergeom_weights(v, t, q)
     u = rng.below(total)
     acc = 0
@@ -311,11 +318,7 @@ def _require_traceable(instance: GameInstance, nights: int, pending: dict[int, l
         if d > nights:
             break
         instance.require_playable(1, d - 1)
-        s_d = instance.s_at(d)
-        if pending[d][-1] > s_d:
-            raise SpecInvalid(
-                f"tag position {decimal_str(pending[d][-1])} outside day {d}'s batch of size {decimal_str(s_d)}"
-            )
+        _require_tag_positions(instance, d, pending[d])
     instance.require_playable(1, nights)
 
 
@@ -410,9 +413,9 @@ def empirical_survival(
     nights 1..nights, the bag leaves on the first night whose 53-bit uniform
     is below take/count; only live trials draw, a block of nights (about
     MC_BLOCK_WORDS words) per call, and draws after a trial's death decide
-    nothing. Otherwise each trial draws ``below(count)`` on each night that
-    takes part of its cell and the bag leaves when the draw is >= count -
-    take: the one draw ``run_trace`` makes for a lone tag. Returns
+    nothing. Otherwise, on each night that takes from its cell, each trial
+    calls ``sample_hypergeom(count, 1, take, rng)``, the draw ``run_trace``
+    makes for a lone tag, and the bag leaves when it returns 1. Returns
     (estimate, stderr, trials) with stderr = sqrt(p*(1-p)/trials).
     """
     strategy = as_strategy(strategy)
@@ -432,22 +435,20 @@ def empirical_survival(
         survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0
     else:
         cells = [(i, count, take) for i, (count, take) in enumerate(instance.cells(d, d, nights), d) if take]
+        # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive each trial's key once.
+        keys = child_keys_vec(seed, np.arange(trials, dtype=np.uint64))
         if instance.window_dips.first(1, nights) is None:
             cell_nights = np.array([i for i, _, _ in cells], dtype=np.uint64)
             bar = np.array([take / count for _, count, take in cells])[:, None]  # int / int: one rounding
-            keys, lo = child_keys_vec(seed & ((1 << 64) - 1), np.arange(trials, dtype=np.uint64)), 0
+            lo = 0
             while keys.size and lo < len(cells):
                 hi = lo + max(1, MC_BLOCK_WORDS // keys.size)
                 u = (words_vec(child_keys_many(keys, cell_nights[lo:hi]), 0) >> np.uint64(11)) * 2.0**-53
                 keys, lo = keys[(u >= bar[lo:hi]).all(axis=0)], hi
             survivors = keys.size
-        else:
-            # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive each trial's key once.
-            survivors = sum(
-                all(take < count and CounterRNG(child_key(trial_key, i)).below(count) < count - take
-                    for i, count, take in cells)
-                for trial_key in (child_key(seed, t) for t in range(trials))
-            )
+        else:  # run_trace's draw for a lone tag: the bag leaves when sample_hypergeom returns 1
+            survivors = sum(not any(sample_hypergeom(count, 1, take, CounterRNG(child_key(key, i)))
+                                    for i, count, take in cells) for key in map(int, keys))
 
     estimate = survivors / trials
     return (estimate, math.sqrt(estimate * (1.0 - estimate) / trials), trials)

@@ -345,6 +345,50 @@ def test_digit_budget_flag_beats_env(tmp_path, capsys, monkeypatch) -> None:
     assert json.loads(capsys.readouterr().out)["verification"]["ok"] is True
 
 
+def test_construct_refuses_a_bounded_memory_gap(tmp_path, capsys) -> None:
+    memory = tmp_path / "b.json"
+    memory.write_text(
+        json.dumps({"kind": "table", "values": [0] * 5, "tail": {"kind": "affine", "a": 1, "c": -5}}),
+        encoding="utf-8",
+    )
+    code = dispatch(["construct", "--memory-b", str(memory), "--steps", "8", "-o", str(tmp_path / "sep")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "RestrictionViolated"
+    assert error["message"].startswith("memory gap i - b(i) is at most 5 (Prop1.1)")
+    assert not list(tmp_path.glob("sep*"))
+
+
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_a_digit_budget_below_one_is_refused(sched, capsys, monkeypatch, budget) -> None:
+    expected = {"error": "SpecInvalid", "message": f"digit budget must be >= 1, got {budget}"}
+    assert dispatch(["validate", sched, "--digit-budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == expected
+    monkeypatch.setenv("RH_DIGIT_BUDGET", budget)
+    assert dispatch(["validate", sched]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == expected
+    # The flag still beats the environment.
+    assert dispatch(["validate", sched, "--digit-budget", "10"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("max_z", ["nan", "inf", "-inf", "0", "-1"])
+def test_compare_refuses_a_max_z_that_no_run_could_pass(tmp_path, capsys, max_z) -> None:
+    # Refused before the schedule is read: this one does not exist.
+    missing = str(tmp_path / "missing.json")
+    argv = ["compare", missing, "--day", "1", "--nights", "9", "--trials", "10", f"--max-z={max_z}"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SpecInvalid",
+        "message": f"--max-z must be a finite number > 0, got {float(max_z)!r}",
+    }
+
+
 def test_compare_gate_passes_for_honest_engine(sched, capsys) -> None:
     code, out = run(
         capsys, "compare", sched, "--day", "1", "--nights", "49", "--trials", "20000", "--seed", "3"

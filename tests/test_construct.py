@@ -91,6 +91,21 @@ def test_memory_jump_is_rejected() -> None:
         separating_instance(b_spec, 6)
 
 
+def test_a_bounded_memory_gap_is_refused_up_front() -> None:
+    # b = 0 on days 1-5, then i - 5: the gap i - b(i) stops at 5, so Prop1.1
+    # makes Robin surely win with memory b and no separation exists.
+    b_spec = FunctionSpec.table([0] * 5, FunctionSpec.affine(1, -5))
+    with pytest.raises(RestrictionViolated) as caught:
+        separating_instance(b_spec, 8)
+    assert str(caught.value) == (
+        "memory gap i - b(i) is at most 5 (Prop1.1): Robin surely wins with memory b,"
+        " so no instance separates b from b + 1"
+    )
+    # The negative-value check comes first.
+    with pytest.raises(SpecInvalid):
+        separating_instance(FunctionSpec.affine(1, -5), 8)
+
+
 def test_negative_memory_is_rejected() -> None:
     with pytest.raises(SpecInvalid):
         separating_instance(FunctionSpec.affine(1, -5), 6)

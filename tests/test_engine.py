@@ -153,6 +153,18 @@ def test_step_day_past_horizon_is_exhausted() -> None:
         step_day(state, inst, 3)
 
 
+def test_step_day_and_run_trace_name_the_same_bad_tag_position() -> None:
+    # Positions 5 and 9 on a day of 3 bags: both name the smallest, 5.
+    inst = make_instance(1, 3, 0, horizon_cap=5)
+    with pytest.raises(SpecInvalid) as traced:
+        run_trace(inst, RND, 3, 0, tagged_days=[(2, 9), (2, 5)])
+    state = CaveState(pending_tags={2: [9, 5]})
+    advance(state, inst, 1)
+    with pytest.raises(SpecInvalid) as stepped:
+        step_day(state, inst, 2)
+    assert str(traced.value) == str(stepped.value) == "tag position 5 outside day 2's batch of size 3"
+
+
 # ------------------------------------------------------------ conservation
 
 
@@ -419,6 +431,19 @@ def test_sample_hypergeom_is_exact_for_forced_cases() -> None:
     assert sample_hypergeom(5, 0, 3, rng) == 0
     assert sample_hypergeom(5, 2, 0, rng) == 0
     assert sample_hypergeom(5, 2, 5, rng) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2**130), st.data(), st.integers(0, 2**64 - 1))
+def test_a_lone_tag_draws_what_the_weights_give(v, data, key) -> None:
+    # sample_hypergeom reads t = 1 without building the weights: the same
+    # inverse-cdf walk on the same one below(total) draw.
+    q = data.draw(st.integers(1, v - 1))
+    weights, total = hypergeom_weights(v, 1, q)
+    ref, rng = CounterRNG(key), CounterRNG(key)
+    u = ref.below(total)
+    assert sample_hypergeom(v, 1, q, rng) == (0 if u < weights[0] else 1)
+    assert rng.counter == ref.counter
 
 
 def test_sample_hypergeom_frequencies() -> None:

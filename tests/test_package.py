@@ -73,3 +73,22 @@ def test_only_flat_walks_a_spec_tail() -> None:
         if isinstance(node, ast.Attribute) and node.attr == "tail"
     }
     assert found == {"FunctionSpec.flat", "FunctionSpec.to_obj", "spec_plus_one"}
+
+
+def test_only_the_engine_draws_call_below() -> None:
+    # Every exact draw of the package goes through sample_hypergeom or
+    # _choose_uniform_subset, so Monte Carlo and run_trace draw a bag alike.
+    package = Path(robinhood.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(getattr(node, "name", ""), node) for node in tree.body if not isinstance(node, ast.ClassDef)]
+        scopes += [(f"{cls.name}.{getattr(node, 'name', '')}", node)
+                   for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        found |= {
+            f"{path.name}:{name}"
+            for name, scope in scopes
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "below"
+        }
+    assert found == {"engine.py:sample_hypergeom", "engine.py:_choose_uniform_subset"}
