@@ -30,7 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import LimitExceeded, RestrictionViolated, SpecInvalid, VerificationFailed
 from .schedule import GameInstance, bounded_memory_gap, decimal_str
@@ -110,11 +110,12 @@ class SurvivalResult:
         }
 
 
-def _survival_points(
+def _survival_nights(
     instance: GameInstance, d: int, horizon: int, mode: str, space: str
-) -> Iterator[tuple[int, Fraction | float, float | None]]:
-    """(N, value, log_value) for N = d-1, d, ..., horizon, in one pass over the
-    nights; every input error is raised before the first point."""
+) -> Iterable[tuple[int, int]]:
+    """The (count, take) of nights d..horizon: on night i the bag leaves a
+    cell of count bags with probability take/count (paper mode reads the
+    very-old pool). Every input error is raised here, before any night is read."""
     if d < 1:
         raise SpecInvalid(f"day must be >= 1, got {d}")
     if horizon < d - 1:
@@ -124,26 +125,42 @@ def _survival_points(
     if space not in (SPACE_RATIONAL, SPACE_LOG):
         raise SpecInvalid(f"unknown probability space {space!r}")
     if horizon < d:
-        # No nights elapsed: probability 1 with no schedule access at all.
-        yield horizon, Fraction(1) if space == SPACE_RATIONAL else 1.0, 0.0 if space == SPACE_LOG else None
-        return
+        return ()  # no nights elapsed: probability 1 with no schedule access at all
 
     instance.check_horizon(horizon)
-
-    # Fail before yielding anything, regardless of where the violation sits.
     # A violation on the valid prefix wins over an invalid day later on.
-    # Each night is a cell's (count, take): on night i the bag leaves a cell
-    # of count bags with probability take/count; paper mode reads the very-old pool.
     if mode == MODE_PAPER:
         i = instance.restriction2_violations.first(d, horizon)
         if i is not None:
             raise RestrictionViolated(
                 f"Ltilde({i}) <= r({i}): the product form needs a strictly larger very-old pool"
             )
-        nights = ((ltilde, r) for r, ltilde in instance.terms(d, horizon))
-    else:
-        nights = instance.cells(d, d, horizon)
+        return ((ltilde, r) for r, ltilde in instance.terms(d, horizon))
+    return instance.cells(d, d, horizon)
 
+
+def _log_term(count: int, take: int) -> float:
+    """log(1 - take/count) for 0 < take <= count."""
+    if take == count:
+        return -math.inf  # the bag leaves for sure: value 0
+    if 2 * take <= count:
+        return math.log1p(-(take / count))
+    # log1p would amplify the rounding of a ratio above 1/2.
+    return math.log(count - take) - math.log(count)
+
+
+def _product(xs: list[Any]) -> Any:
+    """Product of xs (1 if empty) by a balanced tree, so multiplications pair like sizes."""
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]
+    return xs[0] if xs else 1
+
+
+def _survival_points(
+    instance: GameInstance, d: int, horizon: int, mode: str, space: str
+) -> Iterator[tuple[int, Fraction | float, float | None]]:
+    """(N, value, log_value) for N = d-1, d, ..., horizon, in one pass over the nights."""
+    nights = _survival_nights(instance, d, horizon, mode, space)
     if space == SPACE_RATIONAL:
         acc = Fraction(1)
         yield d - 1, acc, None
@@ -157,13 +174,7 @@ def _survival_points(
     yield d - 1, 1.0, log_sum.value
     for i, (count, take) in enumerate(nights, d):
         if take:
-            if take == count:
-                log_sum.add(-math.inf)  # the bag leaves for sure: value 0
-            elif 2 * take <= count:
-                log_sum.add(math.log1p(-(take / count)))
-            else:
-                # log1p would amplify the rounding of a ratio above 1/2.
-                log_sum.add(math.log(count - take) - math.log(count))
+            log_sum.add(_log_term(count, take))
         yield i, math.exp(log_sum.value), log_sum.value
 
 
@@ -176,8 +187,8 @@ def survival_curve(
 ) -> list[SurvivalResult]:
     """Survival results for every truncation N = d-1, d, ..., horizon.
 
-    One pass over the nights, so evaluating a whole curve costs the same as
-    its final point. The N = d-1 entry is the empty product 1.
+    One pass over the nights, folding the product night by night. The
+    N = d-1 entry is the empty product 1.
     """
     return [
         SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
@@ -192,11 +203,24 @@ def survival_probability(
     mode: str = MODE_PAPER,
     space: str = SPACE_RATIONAL,
 ) -> SurvivalResult:
-    """Survival probability of a day-d bag through night ``horizon``; only
-    the running product is kept, not the curve."""
-    for n, value, log_value in _survival_points(instance, d, horizon, mode, space):
-        pass
-    return SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
+    """``survival_curve(...)[-1]`` without the curve: in rational space blocks of
+    256 factors, each reduced once, multiplied as a product tree of fractions (so
+    no gcd runs on the whole unreduced product); in log space one ``math.fsum``."""
+    factors: list[tuple[int, int]] = []
+    for count, take in _survival_nights(instance, d, horizon, mode, space):
+        if take == count:  # the bag leaves for sure: this factor alone gives the product, 0
+            factors = [(count, take)]
+            break
+        if take:
+            factors.append((count, take))
+    log_value: float | None = None
+    if space == SPACE_RATIONAL:
+        blocks = [factors[k : k + 256] for k in range(0, len(factors) or 1, 256)]
+        value = _product([Fraction(_product([c - t for c, t in b]), _product([c for c, _ in b])) for b in blocks])
+    else:
+        log_value = math.fsum(_log_term(count, take) for count, take in factors)
+        value = math.exp(log_value)
+    return SurvivalResult(day=d, horizon=horizon, mode=mode, space=space, value=value, log_value=log_value)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .errors import (
 from .rng import (
     RNG_VERSION,
     CounterRNG,
+    child_bases_vec,
     child_key,
     child_keys_many,
     child_keys_vec,
@@ -411,12 +412,14 @@ def empirical_survival(
     trial or in none. ``oldest-rnd`` draws night i of trial t from the stream
     keyed by stream_key(seed, t, i). With no window dip (Ltilde < r) on
     nights 1..nights, the bag leaves on the first night whose 53-bit uniform
-    is below take/count; only live trials draw, a block of nights (about
-    MC_BLOCK_WORDS words) per call, and draws after a trial's death decide
-    nothing. Otherwise, on each night that takes from its cell, each trial
-    calls ``sample_hypergeom(count, 1, take, rng)``, the draw ``run_trace``
-    makes for a lone tag, and the bag leaves when it returns 1. Returns
-    (estimate, stderr, trials) with stderr = sqrt(p*(1-p)/trials).
+    is below take/count, compared as integers; only live trials draw, a
+    block of nights (about MC_BLOCK_WORDS words) per call, and draws after a
+    trial's death decide nothing. Otherwise, on each night that takes from
+    its cell, each trial calls ``sample_hypergeom(count, 1, take, rng)``, the
+    draw ``run_trace`` makes for a lone tag, and the bag leaves when it
+    returns 1. Trials go in chunks of MC_BLOCK_WORDS, each reading only its
+    own streams. Returns (estimate, stderr, trials) with
+    stderr = sqrt(p*(1-p)/trials).
     """
     strategy = as_strategy(strategy)
     if trials < 1:
@@ -435,20 +438,28 @@ def empirical_survival(
         survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0
     else:
         cells = [(i, count, take) for i, (count, take) in enumerate(instance.cells(d, d, nights), d) if take]
-        # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive each trial's key once.
-        keys = child_keys_vec(seed, np.arange(trials, dtype=np.uint64))
-        if instance.window_dips.first(1, nights) is None:
+        dips = instance.window_dips.first(1, nights) is not None
+        if not dips:
             cell_nights = np.array([i for i, _, _ in cells], dtype=np.uint64)
-            bar = np.array([take / count for _, count, take in cells])[:, None]  # int / int: one rounding
-            lo = 0
-            while keys.size and lo < len(cells):
-                hi = lo + max(1, MC_BLOCK_WORDS // keys.size)
-                u = (words_vec(child_keys_many(keys, cell_nights[lo:hi]), 0) >> np.uint64(11)) * 2.0**-53
-                keys, lo = keys[(u >= bar[lo:hi]).all(axis=0)], hi
-            survivors = keys.size
-        else:  # run_trace's draw for a lone tag: the bag leaves when sample_hypergeom returns 1
-            survivors = sum(not any(sample_hypergeom(count, 1, take, CounterRNG(child_key(key, i)))
-                                    for i, count, take in cells) for key in map(int, keys))
+            # u = (w >> 11) * 2**-53 >= take/count iff w >> 11 >= ceil(take/count * 2**53): the
+            # ratio is int / int, rounded once, and scaling it by 2**53 is exact.
+            bar = np.array([math.ceil(math.ldexp(take / count, 53)) for _, count, take in cells], np.uint64)[:, None]
+        survivors = 0
+        # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive each trial's key once,
+        # for at most MC_BLOCK_WORDS trials at a time, so memory is bounded by the block.
+        for first in range(0, trials, MC_BLOCK_WORDS):
+            keys = child_keys_vec(seed, np.arange(first, min(trials, first + MC_BLOCK_WORDS), dtype=np.uint64))
+            if dips:  # run_trace's draw for a lone tag: the bag leaves when sample_hypergeom returns 1
+                survivors += sum(not any(sample_hypergeom(count, 1, take, CounterRNG(child_key(key, i)))
+                                         for i, count, take in cells) for key in map(int, keys))
+                continue
+            bases, lo = child_bases_vec(keys), 0  # the part of child_key(key, i) that i leaves alone
+            while bases.size and lo < len(cells):
+                hi = lo + max(1, MC_BLOCK_WORDS // bases.size)
+                w = words_vec(child_keys_many(bases, cell_nights[lo:hi]), 0)
+                w >>= np.uint64(11)
+                bases, lo = bases[(w >= bar[lo:hi]).all(axis=0)], hi
+            survivors += bases.size
 
     estimate = survivors / trials
     return (estimate, math.sqrt(estimate * (1.0 - estimate) / trials), trials)

@@ -59,37 +59,51 @@ def stream_key(master: int, *path: int) -> int:
     return k
 
 
-# numpy mirrors of mix64/word, bit-identical to the scalar versions.
+# numpy mirrors of mix64/word, bit-identical to the scalar versions. Each
+# finalizes a fresh array in place, with one scratch buffer.
 
 _NP_PHI = np.uint64(_PHI)
 _NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_M2 = np.uint64(0x94D049BB133111EB)
 
 
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 of every word of the uint64 array z, written into z."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _NP_M1), (27, _NP_M2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
 def mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z = (z ^ (z >> np.uint64(30))) * _NP_M1
-    z = (z ^ (z >> np.uint64(27))) * _NP_M2
-    return z ^ (z >> np.uint64(31))
+    return _mix64_inplace(z.astype(np.uint64, copy=True))
 
 
 def words_vec(keys: np.ndarray, n: int) -> np.ndarray:
     """word(key, n) for an array of keys."""
     inc = np.uint64(((n + 1) * _PHI) & _MASK)
-    return mix64_vec(keys.astype(np.uint64) + inc)
+    return _mix64_inplace(keys.astype(np.uint64, copy=False) + inc)
 
 
 def child_keys_vec(key: int, ps: np.ndarray) -> np.ndarray:
     """child_key(key, p) for an array of child indices p."""
-    base = np.uint64(mix64((key ^ _STREAM_DOMAIN) & _MASK))
-    incs = ((ps.astype(np.uint64) + np.uint64(1)) * _NP_PHI) + base
-    return mix64_vec(incs)
+    return child_keys_many(np.uint64(mix64((key ^ _STREAM_DOMAIN) & _MASK)), ps)
 
 
-def child_keys_many(keys: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """child_key(key, p) for child indices p (rows) and keys (columns)."""
+def child_bases_vec(keys: np.ndarray) -> np.ndarray:
+    """mix64(key ^ STREAM_DOMAIN), the part of child_key(key, p) that p leaves alone."""
+    return _mix64_inplace(keys.astype(np.uint64, copy=False) ^ np.uint64(_STREAM_DOMAIN))
+
+
+def child_keys_many(bases: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """child_key(key, p) for child indices p (rows) and the keys whose
+    ``child_bases_vec`` are ``bases`` (columns)."""
     incs = (ps.astype(np.uint64) + np.uint64(1)) * _NP_PHI
-    return mix64_vec(mix64_vec(keys.astype(np.uint64) ^ np.uint64(_STREAM_DOMAIN)) + incs[:, None])
+    return _mix64_inplace(np.add.outer(incs, bases.astype(np.uint64, copy=False)))
 
 
 class CounterRNG:

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinhood import analysis
@@ -23,6 +23,7 @@ from robinhood import (
     GameInstance,
     IndexBeyondHorizon,
     RestrictionViolated,
+    RobinHoodError,
     SpecInvalid,
     VerificationFailed,
     classify,
@@ -118,6 +119,55 @@ def test_survival_probability_keeps_only_the_last_point(memoryless_121, monkeypa
         result = survival_probability(memoryless_121, d, horizon, mode=mode, space=space)
         assert made == [horizon]
         assert result == survival_curve(memoryless_121, d, horizon, mode=mode, space=space)[-1]
+
+
+@st.composite
+def survival_cases(draw) -> tuple[GameInstance, int, int]:
+    """Table schedules whose memory moves up and down, so that a cell is often
+    mostly or wholly taken, with a day and a horizon that can pass 600 nights."""
+    cap = draw(st.integers(1, 12))
+    s = draw(st.lists(st.integers(2, 6), min_size=cap, max_size=cap))
+    r = [draw(st.integers(1, x - 1)) for x in s]
+    b = [0]
+    for _ in range(cap - 1):  # a memory growing by one a night drains the very-old pool
+        b.append(max(0, b[-1] + draw(st.sampled_from([1, 1, 0, -1, -3]))))
+    inst = make_instance(
+        FunctionSpec.table(r, FunctionSpec.constant(1)),
+        FunctionSpec.table(s, FunctionSpec.constant(draw(st.integers(2, 4)))),
+        FunctionSpec.table(b, FunctionSpec.constant(0)),
+        horizon_cap=cap + 600,
+    )
+    d = draw(st.integers(1, cap + 2))
+    return inst, d, draw(st.integers(d - 1, cap + 600))
+
+
+def _outcome(call):
+    """A call's value, or the class of the package error it raised."""
+    try:
+        return call()
+    except RobinHoodError as exc:
+        return type(exc)
+
+
+# r=2, s=3, b=1: a day-1 bag faces 2 of 3 bags taken on night 1, then its whole cell on night 2.
+@example((make_instance(2, 3, 1, horizon_cap=400), 1, 400), MODE_EXACT, SPACE_LOG)
+@example((make_instance(2, 3, 1, horizon_cap=400), 1, 400), MODE_EXACT, SPACE_RATIONAL)
+@example((make_instance(2, 3, 0, horizon_cap=400), 1, 400), MODE_PAPER, SPACE_LOG)
+@settings(max_examples=150, deadline=None)
+@given(survival_cases(), st.sampled_from([MODE_PAPER, MODE_EXACT]), st.sampled_from([SPACE_RATIONAL, SPACE_LOG]))
+def test_last_survival_point_equals_the_curves(case, mode, space) -> None:
+    # The product tree (rational) and the one fsum (log) against the running fold.
+    inst, d, horizon = case
+    got = _outcome(lambda: survival_probability(inst, d, horizon, mode=mode, space=space))
+    assert got == _outcome(lambda: survival_curve(inst, d, horizon, mode=mode, space=space)[-1])
+
+
+def test_a_sure_removal_ends_the_product_at_zero() -> None:
+    inst = make_instance(2, 3, 1, horizon_cap=400)
+    assert list(inst.cells(1, 1, 2)) == [(3, 2), (1, 1)]
+    assert survival_probability(inst, 1, 400, mode=MODE_EXACT).value == 0
+    log = survival_probability(inst, 1, 400, mode=MODE_EXACT, space=SPACE_LOG)
+    assert (log.value, log.log_value) == (0.0, -math.inf)
 
 
 def test_survival_curve_is_nonincreasing(memoryless_121) -> None:

@@ -13,9 +13,11 @@ to its scalar law (``tests/scalar_monte_carlo.py``).
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -198,8 +200,9 @@ def undipped_instances(draw) -> tuple[GameInstance, int]:
 @settings(max_examples=60, deadline=None)
 @given(undipped_instances(), st.data())
 def test_vectorized_monte_carlo_is_its_scalar_law(case, data) -> None:
-    # One word per block gives one night per call; 97 words give many nights
-    # to a few trials and leave a partial last block; the module's size gives
+    # One word per block gives one night per call and one trial per chunk of
+    # trials; 97 words give many nights to a few trials, leave a partial last
+    # block and split the trials into chunks of 97; the module's size gives
     # blocks that lengthen as trials die. Trials often all die early.
     inst, nights = case
     d = data.draw(st.integers(1, nights))
@@ -224,6 +227,44 @@ def test_a_draw_equal_to_take_over_count_survives() -> None:
     inst = GameInstance(spec, horizon_cap=1)
     assert list(inst.cells(1, 1, 1)) == [(2**53, m)]
     assert empirical_survival(inst, 1, 1, 1, seed) == ref_u01_survival(inst, 1, 1, 1, seed) == (1.0, 0.0, 1)
+
+
+def _one_night(count: int, take: int) -> GameInstance:
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table([take], FunctionSpec.constant(1)),
+        s_spec=FunctionSpec.table([count], FunctionSpec.constant(2)),
+        b_spec=FunctionSpec.constant(0),
+    )
+    inst = GameInstance(spec, horizon_cap=1)
+    assert list(inst.cells(1, 1, 1)) == [(count, take)]
+    return inst
+
+
+def test_a_ratio_that_rounds_to_one_kills_every_trial() -> None:
+    # (2**60 - 1) / 2**60 rounds to 1.0: the threshold is 2**53, which no 53-bit draw reaches.
+    inst = _one_night(2**60, 2**60 - 1)
+    assert empirical_survival(inst, 1, 1, 5000, 3) == ref_u01_survival(inst, 1, 1, 5000, 3) == (0.0, 0.0, 5000)
+
+
+def test_a_ratio_below_two_to_the_minus_53_has_threshold_one() -> None:
+    # 1 / 2**80 scales to 2**-27, whose ceiling is 1: only a draw of 0 leaves.
+    inst = _one_night(2**80, 1)
+    assert empirical_survival(inst, 1, 1, 5000, 3) == ref_u01_survival(inst, 1, 1, 5000, 3)
+
+
+@pytest.mark.parametrize("block", [2**10, engine.MC_BLOCK_WORDS])
+def test_monte_carlo_memory_is_bounded_by_the_block(block) -> None:
+    # Keys and bases are derived for one chunk of trials at a time, so 2**17
+    # trials fit in a few block-sized arrays whatever the trial count.
+    inst = make_instance(1, 2, 0, horizon_cap=50)
+    with mock.patch.object(engine, "MC_BLOCK_WORDS", block):
+        tracemalloc.start()
+        try:
+            empirical_survival(inst, 1, 50, 2**17, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * block * 8
 
 
 def test_dead_trials_draw_no_words() -> None:

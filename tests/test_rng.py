@@ -8,6 +8,7 @@ import pytest
 from robinhood.rng import (
     RNG_VERSION,
     CounterRNG,
+    child_bases_vec,
     child_key,
     child_keys_many,
     child_keys_vec,
@@ -62,13 +63,34 @@ def test_vectorized_children_match_scalar() -> None:
     assert [int(v) for v in vec] == [child_key(key, p) for p in ps]
 
 
+def test_child_bases_match_scalar() -> None:
+    # child_key(k, p) = mix64(mix64(k ^ STREAM_DOMAIN) + (p + 1) * PHI): the base is the inner mix.
+    keys = [0, 1, 2**63, 2**64 - 1]
+    bases = child_bases_vec(np.array(keys, dtype=np.uint64))
+    assert [int(v) for v in bases] == [mix64(k ^ 0xD1B54A32D192ED03) for k in keys]
+
+
 def test_child_key_grid_matches_scalar() -> None:
     # Row p, column key; keys and indices near 2**64 wrap in uint64.
     keys = [0, 1, 3, 2**63, 2**64 - 2, 2**64 - 1]
     ps = [0, 5, 2**32 + 7, 2**63 + 1, 2**64 - 2, 2**64 - 1]
-    grid = child_keys_many(np.array(keys, dtype=np.uint64), np.array(ps, dtype=np.uint64))
+    grid = child_keys_many(child_bases_vec(np.array(keys, dtype=np.uint64)), np.array(ps, dtype=np.uint64))
     assert grid.shape == (len(ps), len(keys))
     assert [[int(v) for v in row] for row in grid] == [[child_key(k, p) for k in keys] for p in ps]
+
+
+def test_vectorized_maps_leave_their_inputs_unchanged() -> None:
+    # The finalizer runs in place, on a fresh array: never on the caller's.
+    keys = np.array([0, 1, 42, 2**63, 2**64 - 1], dtype=np.uint64)
+    ps = np.array([0, 3, 2**64 - 1], dtype=np.uint64)
+    bases = child_bases_vec(keys)
+    saved = [keys.copy(), ps.copy(), bases.copy()]
+    words_vec(keys, 3)
+    mix64_vec(keys)
+    child_keys_vec(7, ps)
+    child_bases_vec(keys)
+    child_keys_many(bases, ps)
+    assert all(np.array_equal(a, b) for a, b in zip([keys, ps, bases], saved))
 
 
 def test_stream_keys_are_distinct_across_path_components() -> None:
