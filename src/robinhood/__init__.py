@@ -54,7 +54,6 @@ from .errors import (
     LimitExceeded,
     RestrictionViolated,
     RobinHoodError,
-    ScheduleExhausted,
     SpecInvalid,
     ValidityViolated,
     VerificationFailed,
@@ -80,7 +79,6 @@ __all__ = [
     "RobinHoodError",
     "SpecInvalid",
     "IndexBeyondHorizon",
-    "ScheduleExhausted",
     "LimitExceeded",
     "RestrictionViolated",
     "ValidityViolated",

@@ -179,7 +179,7 @@ class _FileOnFirstWrite:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    instance = _load_instance(args, horizon_cap=args.nights)
+    instance = _load_instance(args, max(0, args.nights))  # a negative --nights is refused below, by name
     strategy = as_strategy(args.strategy)
     tag_days = args.tag_day or []
 
@@ -253,7 +253,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.max_z) and args.max_z > 0):
         raise SpecInvalid(f"--max-z must be a finite number > 0, got {args.max_z!r}")
     seed = _resolve_seed(args)
-    instance = _load_instance(args, horizon_cap=args.nights)
+    instance = _load_instance(args, max(0, args.nights))  # a negative --nights is refused below, by name
     space = SPACE_RATIONAL if args.nights <= 2000 else SPACE_LOG
     analytic = survival_probability(instance, args.day, args.nights, mode=MODE_EXACT, space=space)
     analytic_value = float(analytic.value)

@@ -36,11 +36,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    ScheduleExhausted,
-    SpecInvalid,
-    VerificationFailed,
-)
+from .errors import SpecInvalid, VerificationFailed
 from .rng import (
     RNG_VERSION,
     CounterRNG,
@@ -115,8 +111,7 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
     """
     if i != state.night + 1 or state.day == i:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
-    if i > instance.horizon_cap:
-        raise ScheduleExhausted(f"day {i} beyond instance horizon_cap {instance.horizon_cap}")
+    instance.check_horizon(i)
     positions = sorted(state.pending_tags.pop(i, ()))  # ids in position order
     _require_tag_positions(instance, i, positions)
 
@@ -343,8 +338,8 @@ def run_trace(
     strategy = as_strategy(strategy)
     if nights < 0:
         raise SpecInvalid(f"nights must be >= 0, got {nights}")
-    if nights > instance.horizon_cap:
-        raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
+    if nights:
+        instance.check_horizon(nights)
 
     pending = _normalize_tags(tagged_days)
     if pending and max(pending) > nights + 1:  # a bag of day nights + 1 arrives after the last night
@@ -430,8 +425,7 @@ def empirical_survival(
         raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={d}")
     if nights < d:
         return (1.0, 0.0, trials)
-    if nights > instance.horizon_cap:
-        raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {instance.horizon_cap}")
+    instance.check_horizon(nights)
     instance.require_playable(1, nights)
 
     if strategy is StrategyKind.OLDEST_DET:

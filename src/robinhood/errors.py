@@ -28,10 +28,6 @@ class IndexBeyondHorizon(RobinHoodError):
     """An evaluation was requested past the instance's defined horizon."""
 
 
-class ScheduleExhausted(RobinHoodError):
-    """A simulation was asked to run past the schedule's horizon."""
-
-
 class LimitExceeded(RobinHoodError):
     """An integer grew past the configured digit budget, or a float diagnostic past the float range."""
 

@@ -59,7 +59,7 @@ def stream_key(master: int, *path: int) -> int:
     return k
 
 
-# numpy mirrors of mix64/word, bit-identical to the scalar versions. Each
+# numpy mirrors of word and child_key, bit-identical to the scalar versions. Each
 # finalizes a fresh array in place, with one scratch buffer.
 
 _NP_PHI = np.uint64(_PHI)
@@ -77,10 +77,6 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     np.right_shift(z, 31, out=t)
     z ^= t
     return z
-
-
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    return _mix64_inplace(z.astype(np.uint64, copy=True))
 
 
 def words_vec(keys: np.ndarray, n: int) -> np.ndarray:

@@ -14,11 +14,12 @@ From these the module derives
 * the very-old level ``Ltilde(i)`` — bags that arrived on days 1..i-b(i)
   and are still in the cave when night i begins (clamped at zero).
 
-``GameInstance`` materializes a schedule on a finite index range with eager
-prefix sums, exact arbitrary-precision arithmetic, and a digit budget that
-aborts runaway growth. It also computes, once, where the two structural
-conditions the analysis layer relies on fail, and ``check_restrictions``
-reports them relative to a horizon:
+``GameInstance`` materializes a schedule on a finite index range as the
+cutoff i - b(i), the last day of night i's very-old pool, and eager prefix
+sums of s and r, in exact arbitrary-precision arithmetic under a digit
+budget that aborts runaway growth. It also computes, once, where the two
+structural conditions the analysis layer relies on fail, and
+``check_restrictions`` reports them relative to a horizon:
 
 * restriction 1 — ``b(i+1) <= b(i) + 1``, i.e. ``i - b(i)`` never decreases
   (Robin never regains forgotten information);
@@ -36,6 +37,8 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import count, repeat
 from typing import Any, Callable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
@@ -392,19 +395,21 @@ class NightRuns:
 class GameInstance:
     """A schedule materialized on indices 1..horizon_cap.
 
-    The clamped b(i) and the prefix sums S(i) and R(i) of s and r are computed
+    The cutoff cut(i) = i - min(max(b(i), 0), i), the last day of night i's
+    very-old pool, and the prefix sums S(i) and R(i) of s and r are computed
     eagerly, in one pass (exact integers, guarded by ``digit_budget``); every
-    other value, s(i) = S(i) - S(i-1) included, is read from them. The
+    other value, b(i) = i - cut(i) and s(i) = S(i) - S(i-1) included, is read
+    from them. The cutoffs are an ``array('q')``, 8 bytes per index, and
+    ``memory_gap_range`` reads their min and max through a numpy view. The
     instance is immutable afterwards and safe for concurrent readers.
 
     Construction also records the restriction facts every caller reads
-    instead of scanning: ``restriction1_first_violation``, the first i with
-    b(i+1) > b(i) + 1 over all materialized indices, and, over the valid
-    prefix, the nights ``restriction2_violations`` with Ltilde(i) <= r(i)
-    and the nights ``window_dips`` with Ltilde(i) < r(i), on which
-    oldest-first removal reaches into the memory window. It also records the
-    nights on which the memory gap i - b(i) ties or beats its running
-    maximum and minimum, so ``memory_gap_range`` is one bisection each.
+    instead of scanning: ``restriction1_first_violation``, the night before
+    the first on which the cutoff decreases (b(i+1) > b(i) + 1) over all
+    materialized indices, and, over the valid prefix, the nights
+    ``restriction2_violations`` with Ltilde(i) <= r(i) and the nights
+    ``window_dips`` with Ltilde(i) < r(i), on which oldest-first removal
+    reaches into the memory window.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -422,9 +427,7 @@ class GameInstance:
         "window_dips",
         "_valid_through",
         "_playable_through",
-        "_gap_highs",
-        "_gap_lows",
-        "_b",
+        "_cut",
         "_sum_s",
         "_sum_r",
     )
@@ -445,39 +448,28 @@ class GameInstance:
         self.horizon_cap = cap
 
         # Index 0 is a placeholder so value arrays are 1-based like the game.
-        b_vals: list[int] = [0] * (cap + 1)
+        cuts = array("q", bytes(8 * (cap + 1)))
         sum_s: list[int] = [0] * (cap + 1)
         sum_r: list[int] = [0] * (cap + 1)
         first_invalid: int | None = None
         first_break: int | None = None
-        # Nights where i - b(i) reaches its running max (min) so far; the
-        # gap is at least 0 and at most cap.
-        high_edges, low_edges = array("q"), array("q")
-        high = low = False
-        gap_max, gap_min, gap = 0, cap, 0
         r2_edges, dip_edges = array("q"), array("q")
         r2 = dip = False
 
         limit = budget_bits(digit_budget)
         acc_s = 0
         acc_r = 0
+        cut = 0
         # zip stops at the range: cap is at most every spec's hard_horizon(), so no stream ends sooner.
-        for i, ri, si, bi_raw in zip(range(1, cap + 1), spec.r_spec, spec.s_spec, spec.b_spec):
-            if first_invalid is None and not (1 <= ri < si and bi_raw >= 0):
+        for i, ri, si, bi in zip(range(1, cap + 1), spec.r_spec, spec.s_spec, spec.b_spec):
+            if first_invalid is None and not (1 <= ri < si and bi >= 0):
                 first_invalid = i
-            # Clamp to [0, i]; the raw value is only needed for validity.
-            b_vals[i] = min(bi_raw, i) if bi_raw >= 0 else 0
-            # b(i) > b(i-1) + 1 exactly when the gap i - b(i) shrinks.
-            prev, gap = gap, i - b_vals[i]
-            if gap < prev and first_break is None:
+            # cut(i) = i - b(i), b clamped to [0, i]; the raw b is only needed for validity.
+            prev, cut = cut, i - bi if 0 <= bi <= i else i if bi < 0 else 0
+            cuts[i] = cut
+            # b(i) > b(i-1) + 1 exactly when the cutoff decreases.
+            if cut < prev and first_break is None:
                 first_break = i - 1
-            if (gap >= gap_max) is not high:
-                high = not high
-                high_edges.append(i)
-            if (gap <= gap_min) is not low:
-                low = not low
-                low_edges.append(i)
-            gap_max, gap_min = gap if high else gap_max, gap if low else gap_min
             acc_s += si
             acc_r += ri
             if max(acc_s, acc_r).bit_length() > limit:
@@ -488,7 +480,7 @@ class GameInstance:
             if first_invalid is None:
                 # Ltilde(i) before its clamp at zero; r(i) >= 1 on valid days
                 # makes the clamp irrelevant to both comparisons.
-                pool = sum_s[gap] - sum_r[i - 1]
+                pool = sum_s[cut] - sum_r[i - 1]
                 if (pool <= ri) is not r2:
                     r2 = not r2
                     r2_edges.append(i)
@@ -496,7 +488,7 @@ class GameInstance:
                     dip = not dip
                     dip_edges.append(i)
 
-        self._b = b_vals
+        self._cut = cuts
         self._sum_s = sum_s
         self._sum_r = sum_r
         self.first_invalid_index = first_invalid
@@ -504,8 +496,6 @@ class GameInstance:
         valid_end = self._valid_through = self.valid_end(cap)
         # The last nights that require_valid and require_playable pass.
         self._playable_through = valid_end if first_break is None else min(valid_end, first_break)
-        self._gap_highs = NightRuns(high_edges)
-        self._gap_lows = NightRuns(low_edges)
         # Both restriction-2 conditions stop at the end of the valid prefix.
         for holds, edges in ((r2, r2_edges), (dip, dip_edges)):
             if holds:
@@ -571,9 +561,9 @@ class GameInstance:
         return self._sum_s[i] - self._sum_s[i - 1]
 
     def b_at(self, i: int) -> int:
-        """Memory bound at night i, clamped to min(b(i), i)."""
+        """Memory bound at night i, clamped to min(b(i), i): i - cut(i)."""
         self.require_valid(i, i)
-        return self._b[i]
+        return i - self._cut[i]
 
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
@@ -587,7 +577,7 @@ class GameInstance:
     def very_old_level_unclamped(self, i: int) -> int:
         """The inner sum of Ltilde(i) before the max-with-zero clamp."""
         self.require_valid(i, i)
-        return self._sum_s[i - self._b[i]] - self._sum_r[i - 1]
+        return self._sum_s[self._cut[i]] - self._sum_r[i - 1]
 
     def fifo_cut(self, i: int) -> tuple[int, int]:
         """(d, p) such that the first r(1) + ... + r(i) arrivals, which FIFO
@@ -607,11 +597,11 @@ class GameInstance:
         self.require_valid(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
-            sum_s, sum_r, b = self._sum_s, self._sum_r, self._b
+            sum_s, sum_r, cut = self._sum_s, self._sum_r, self._cut
             before = sum_r[lo - 1]
             for i in range(lo, hi + 1):
                 after = sum_r[i]
-                pool = sum_s[i - b[i]] - before  # a conditional, not max(): this loop is the hot path
+                pool = sum_s[cut[i]] - before  # a conditional, not max(): this loop is the hot path
                 yield after - before, pool if pool > 0 else 0
                 before = after
 
@@ -629,10 +619,10 @@ class GameInstance:
         self.require_playable(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
-            sum_s, sum_r, b, left = self._sum_s, self._sum_r, self._b, self._bags_left
+            sum_s, sum_r, cut, left = self._sum_s, self._sum_r, self._cut, self._bags_left
             before = sum_r[lo - 1]
             for i in range(lo, hi + 1):
-                after, cutoff = sum_r[i], i - b[i]
+                after, cutoff = sum_r[i], cut[i]
                 if d <= cutoff:
                     pool, quota = sum_s[cutoff] - before, after - before
                     count = pool if pool > 0 else 0
@@ -657,7 +647,7 @@ class GameInstance:
         """
         self.require_playable(i, i)
         sum_s, sum_r = self._sum_s, self._sum_r
-        cutoff = i - self._b[i]
+        cutoff = self._cut[i]
         before, after = sum_r[i - 1], sum_r[i]
         pool = max(0, sum_s[cutoff] - before)
         cuts = [(VERY_OLD_KEY, pool, min(after - before, pool))] if pool else []
@@ -670,11 +660,11 @@ class GameInstance:
         return cuts
 
     def memory_gap_range(self, horizon: int) -> tuple[int, int]:
-        """(min, max) of i - b(i) over 1 <= i <= horizon: each is the gap on the
-        last night up to horizon that tied or beat the running extreme."""
+        """(min, max) of the cutoff i - b(i) over 1 <= i <= horizon, read by numpy
+        through a zero-copy view of the stored cutoffs."""
         self.check_horizon(horizon)
-        lo, hi = self._gap_lows.last(horizon), self._gap_highs.last(horizon)
-        return lo - self._b[lo], hi - self._b[hi]  # type: ignore[operator]
+        gaps = np.frombuffer(self._cut, np.int64, count=horizon, offset=8)
+        return int(gaps.min()), int(gaps.max())
 
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import accumulate
 
 from robinhood import (
     MODE_EXACT,
     MODE_PAPER,
     SPACE_LOG,
     SPACE_RATIONAL,
+    FunctionSpec,
     GameInstance,
     IndexBeyondHorizon,
     RestrictionViolated,
@@ -34,14 +36,27 @@ from robinhood.analysis import RunningSum
 from .per_night_checks import ref_check_horizon, ref_require_playable, ref_require_valid
 
 
+@lru_cache(maxsize=256)
+def ref_prefix_sums(fs: FunctionSpec, n: int) -> list[int]:
+    """F(0..n) with F(i) = fs(1) + ... + fs(i), read from the spec by ``value_at``."""
+    return list(accumulate((fs.value_at(j) for j in range(1, n + 1)), initial=0))
+
+
+def ref_clamped_b(inst: GameInstance, i: int) -> int:
+    """min(max(b(i), 0), i), read from the spec by ``value_at``."""
+    return min(max(inst.spec.b_spec.value_at(i), 0), i)
+
+
 def ref_cell(inst: GameInstance, d: int, i: int) -> tuple[int, int]:
-    """The former per-night ``GameInstance.cell``: its day check, the night's read check, then the prefix sums."""
+    """The former per-night ``GameInstance.cell``: its day check, the night's read check, then
+    the prefix sums, computed from the spec so that they do not depend on how the instance stores them."""
     if not 1 <= d <= i:
         raise IndexBeyondHorizon(f"cell of day {d} on night {i} outside 1 <= d <= i <= {inst.horizon_cap}")
     inst.require_playable(i, i)
-    sum_s, sum_r = inst._sum_s, inst._sum_r
+    spec, cap = inst.spec, inst.horizon_cap
+    sum_s, sum_r = ref_prefix_sums(spec.s_spec, cap), ref_prefix_sums(spec.r_spec, cap)
     before, after = sum_r[i - 1], sum_r[i]
-    cutoff = i - inst._b[i]
+    cutoff = i - ref_clamped_b(inst, i)
 
     def left(removed: int) -> int:
         return max(0, sum_s[d] - max(sum_s[d - 1], removed))

@@ -635,3 +635,44 @@ def test_each_command_materializes_the_nights_it_reads(sched, capsys, monkeypatc
         for horizon in ("0", "-5"):
             assert dispatch([command, sched, "--horizon", horizon]) == 1
             assert json.loads(capsys.readouterr().err)["error"] == "IndexBeyondHorizon"
+
+
+def test_a_night_past_a_short_schedule_is_beyond_the_horizon_in_every_command(tmp_path, capsys) -> None:
+    # Three generated values end the instance at night 3: the instance alone refuses night 5.
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "r": {"kind": "generated", "values": ["1", "1", "1"]},
+        "s": {"kind": "generated", "values": ["3", "3", "3"]},
+        "b": {"kind": "constant", "value": 0},
+    }))
+    for argv in (
+        ["simulate", str(path), "--nights", "5"],
+        ["simulate", str(path), "--nights", "5", "--trials", "3", "--tag-day", "1"],
+        ["compare", str(path), "--day", "1", "--nights", "5", "--trials", "3"],
+        ["survival", str(path), "--day", "1", "--horizon", "5"],
+    ):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert json.loads(captured.err) == {
+            "error": "IndexBeyondHorizon",
+            "message": "night 5 outside [1, 3] for this instance",
+        }, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--nights", "-1"], "nights must be >= 0, got -1"),
+        (["simulate", "--nights", "-1", "--trials", "3", "--tag-day", "1"],
+         "nights must be >= day - 1, got nights=-1 day=1"),
+        (["compare", "--day", "1", "--nights", "-1", "--trials", "3"],
+         "horizon must be >= day - 1, got horizon=-1 day=1"),
+    ],
+)
+def test_a_negative_nights_is_refused_as_nights(sched, capsys, argv, message) -> None:
+    # The instance is loaded through night 0, so the command's own check names --nights.
+    code = dispatch([argv[0], sched, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "SpecInvalid", "message": message}

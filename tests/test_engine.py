@@ -19,9 +19,9 @@ from robinhood import (
     CaveState,
     FunctionSpec,
     GameInstance,
+    IndexBeyondHorizon,
     RestrictionViolated,
     ScheduleSpec,
-    ScheduleExhausted,
     SpecInvalid,
     StrategyKind,
     apply_removals,
@@ -149,7 +149,7 @@ def test_step_day_past_horizon_is_exhausted() -> None:
     state = CaveState()
     advance(state, inst, 1)
     advance(state, inst, 2)
-    with pytest.raises(ScheduleExhausted):
+    with pytest.raises(IndexBeyondHorizon, match=r"night 3 outside \[1, 2\] for this instance"):
         step_day(state, inst, 3)
 
 
@@ -861,7 +861,7 @@ def test_empirical_survival_validates_inputs(memoryless_121) -> None:
         empirical_survival(memoryless_121, 0, 5, 10, seed=0)
     with pytest.raises(SpecInvalid):
         empirical_survival(memoryless_121, 1, 5, 0, seed=0)
-    with pytest.raises(ScheduleExhausted):
+    with pytest.raises(IndexBeyondHorizon):
         empirical_survival(memoryless_121, 1, 10**6, 10, seed=0)
     # A bag that arrives after the last night is refused, as survival refuses it.
     with pytest.raises(SpecInvalid, match="nights must be >= day - 1"):

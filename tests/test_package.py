@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import robinhood
-from robinhood import schedule
+from robinhood import engine, errors, schedule
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -52,6 +52,15 @@ def test_only_the_check_core_decides_read_errors() -> None:
         if isinstance(method, ast.FunctionDef) and (errors := _read_errors_built(method))
     }
     assert found == {"_check_read": {"IndexBeyondHorizon", "RestrictionViolated"}, "cells": {"IndexBeyondHorizon"}}
+
+
+def test_the_engine_builds_no_horizon_error_of_its_own() -> None:
+    # A night past the instance's horizon is refused by GameInstance.check_horizon,
+    # so simulate, compare and survival name it alike; the engine has no class of its own.
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert names.isdisjoint({"IndexBeyondHorizon", "ScheduleExhausted"})
+    assert not hasattr(errors, "ScheduleExhausted") and not hasattr(robinhood, "ScheduleExhausted")
 
 
 def test_only_flat_walks_a_spec_tail() -> None:

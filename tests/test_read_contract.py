@@ -26,7 +26,6 @@ from robinhood import (
     LimitExceeded,
     RestrictionViolated,
     RobinHoodError,
-    ScheduleExhausted,
     SpecInvalid,
     classify,
     empirical_survival,
@@ -84,8 +83,7 @@ def _ref_empirical_survival(inst, d: int, nights: int) -> None:
         raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={d}")
     if nights < d:
         return
-    if nights > inst.horizon_cap:
-        raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {inst.horizon_cap}")
+    ref_check_horizon(inst, nights)
     ref_require_playable(inst, nights)
 
 
@@ -95,8 +93,8 @@ def _ref_run_trace(inst, nights: int, tag: int) -> None:
     empirical_survival refuses it."""
     if nights < 0:
         raise SpecInvalid(f"nights must be >= 0, got {nights}")
-    if nights > inst.horizon_cap:
-        raise ScheduleExhausted(f"nights {nights} beyond instance horizon_cap {inst.horizon_cap}")
+    if nights:
+        ref_check_horizon(inst, nights)
     if tag > nights + 1:
         raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={tag}")
     if tag <= nights:

@@ -27,6 +27,8 @@ from robinhood import (
 )
 from robinhood.analysis import _classify_bounded_gap, _classify_convergent, _classify_pinned_pool
 
+from .per_night_kernels import ref_clamped_b, ref_prefix_sums
+
 
 def _function(draw, values: list[int], lo: int, hi: int) -> FunctionSpec:
     """A table over a prefix of ``values`` with a constant or affine tail."""
@@ -68,13 +70,13 @@ def instances(draw) -> GameInstance:
 
 def ref_restriction1(inst: GameInstance, horizon: int) -> int | None:
     for i in range(1, horizon):
-        if inst._b[i + 1] > inst._b[i] + 1:
+        if ref_clamped_b(inst, i + 1) > ref_clamped_b(inst, i) + 1:
             return i
     return None
 
 
 def ref_memory_gaps(inst: GameInstance, horizon: int) -> list[int]:
-    return [i - inst._b[i] for i in range(1, horizon + 1)]
+    return [i - ref_clamped_b(inst, i) for i in range(1, horizon + 1)]
 
 
 def ref_restriction2_last(inst: GameInstance, horizon: int) -> int | None:
@@ -82,9 +84,11 @@ def ref_restriction2_last(inst: GameInstance, horizon: int) -> int | None:
     if first_invalid is not None and first_invalid > horizon:
         first_invalid = None
     valid_end = horizon if first_invalid is None else first_invalid - 1
+    spec, cap = inst.spec, inst.horizon_cap
+    sum_s, sum_r = ref_prefix_sums(spec.s_spec, cap), ref_prefix_sums(spec.r_spec, cap)
     last = None
     for i in range(1, valid_end + 1):
-        if max(0, inst._sum_s[i - inst._b[i]] - inst._sum_r[i - 1]) <= inst.r_at(i):
+        if max(0, sum_s[i - ref_clamped_b(inst, i)] - sum_r[i - 1]) <= inst.r_at(i):
             last = i
     return last
 

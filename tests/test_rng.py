@@ -13,7 +13,6 @@ from robinhood.rng import (
     child_keys_many,
     child_keys_vec,
     mix64,
-    mix64_vec,
     stream_key,
     word,
     words_vec,
@@ -44,9 +43,11 @@ def test_counterrng_matches_word_function() -> None:
 
 
 def test_vectorized_mix_matches_scalar() -> None:
+    # word(k, 0) = mix64(k + PHI): keys k = x - PHI put the finalizer's input at x, edges included.
     xs = [0, 1, 2**64 - 1, 0x123456789ABCDEF0, 987654321]
-    vec = mix64_vec(np.array(xs, dtype=np.uint64))
-    assert [int(v) for v in vec] == [mix64(x) for x in xs]
+    keys = [(x - 0x9E3779B97F4A7C15) % 2**64 for x in xs]
+    vec = words_vec(np.array(keys, dtype=np.uint64), 0)
+    assert [int(v) for v in vec] == [word(k, 0) for k in keys] == [mix64(x) for x in xs]
 
 
 def test_vectorized_words_match_scalar() -> None:
@@ -86,7 +87,6 @@ def test_vectorized_maps_leave_their_inputs_unchanged() -> None:
     bases = child_bases_vec(keys)
     saved = [keys.copy(), ps.copy(), bases.copy()]
     words_vec(keys, 3)
-    mix64_vec(keys)
     child_keys_vec(7, ps)
     child_bases_vec(keys)
     child_keys_many(bases, ps)

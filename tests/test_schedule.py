@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import islice
 
@@ -285,6 +286,27 @@ def test_levels_clamp_at_zero_but_unclamped_value_is_exposed() -> None:
     inst = make_instance(1, 2, b_spec, horizon_cap=10)
     assert inst.very_old_level_unclamped(2) == -1
     assert inst.very_old_level(2) == 0
+
+
+def _held_bytes(b_spec: FunctionSpec, cap: int) -> int:
+    """Bytes still allocated once a GameInstance with r = 1, s = 3 and this b is built."""
+    tracemalloc.start()
+    try:
+        inst = make_instance(1, 3, b_spec, horizon_cap=cap)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert inst.horizon_cap == cap
+    return held
+
+
+def test_memory_bounds_cost_the_instance_no_more_than_a_zero_bound() -> None:
+    # The instance stores cutoffs i - b(i) in an array('q'), 8 bytes per index
+    # and no int objects, whatever b's values: a bound that tracks i - 5 costs
+    # what b = 0 costs.
+    cap = 100_000
+    tracking = _held_bytes(FunctionSpec.table([0] * 5, FunctionSpec.affine(1, -5)), cap)
+    assert tracking <= 1.05 * _held_bytes(FunctionSpec.constant(0), cap)
 
 
 def test_invalid_schedule_keeps_valid_prefix_usable() -> None:
