@@ -98,7 +98,8 @@ def _emit(obj: Any) -> None:
 
 
 def _load_instance(args: argparse.Namespace, horizon_cap: int) -> GameInstance:
-    """Load the schedule, materialized through ``horizon_cap`` (or its spec's hard horizon)."""
+    """Load the schedule as an instance through ``horizon_cap`` (or its spec's hard horizon);
+    its size depends on the specs' table prefixes, not on ``horizon_cap``."""
     spec = load_schedule(args.schedule)
     return GameInstance(spec, horizon_cap=horizon_cap, digit_budget=_resolve_budget(args))
 
@@ -132,7 +133,8 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # The report and the table read nights 1..horizon only (1000 by default).
+    # The report reads the instance's facts through the horizon (1000 by default), at any
+    # horizon; only the --csv table walks the nights.
     instance = _load_instance(args, max(1, args.horizon or 1000))
     horizon = _default_horizon(args, instance)
     report = instance.check_restrictions(horizon)
@@ -144,9 +146,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    # classify refuses a schedule with an invalid day anywhere it is materialized,
-    # so it keeps the DEFAULT_HORIZON_CAP floor: a smaller instance would certify
-    # schedules that are invalid between the horizon and that floor.
+    # classify refuses a schedule with an invalid day anywhere in its instance, so it
+    # keeps the DEFAULT_HORIZON_CAP floor: a smaller instance would certify schedules
+    # that are invalid between the horizon and that floor. The floor is a fact check
+    # read from the closed forms, not a build of 10 000 indices.
     instance = _load_instance(args, max(DEFAULT_HORIZON_CAP, args.horizon or 0))
     horizon = _default_horizon(args, instance)
     _emit(classify(instance, horizon).as_dict())
@@ -154,7 +157,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_survival(args: argparse.Namespace) -> int:
-    instance = _load_instance(args, max(1, args.horizon))  # reads nights day..horizon only
+    instance = _load_instance(args, max(1, args.horizon))  # the product walks nights day..horizon
     mode = {"paper": MODE_PAPER, "exact": MODE_EXACT}[args.mode]
     space = {"rational": SPACE_RATIONAL, "log": SPACE_LOG}[args.space]
     result = survival_probability(instance, args.day, args.horizon, mode=mode, space=space)

@@ -14,10 +14,12 @@ From these the module derives
 * the very-old level ``Ltilde(i)`` — bags that arrived on days 1..i-b(i)
   and are still in the cave when night i begins (clamped at zero).
 
-``GameInstance`` materializes a schedule on a finite index range as the
-cutoff i - b(i), the last day of night i's very-old pool, and eager prefix
-sums of s and r, in exact arbitrary-precision arithmetic under a digit
-budget that aborts runaway growth. It also computes, once, where the two
+``GameInstance`` holds a schedule on a finite index range as the cutoff
+i - b(i), the last day of night i's very-old pool, and the prefix sums of
+s and r: stored for the specs' table prefix, and read past it from the
+closed forms, where the sums are integer quadratics and the cutoff is
+piecewise affine. Arithmetic is exact, under a digit budget that aborts
+runaway growth. It also computes, once, where the two
 structural conditions the analysis layer relies on fail, and
 ``check_restrictions`` reports them relative to a horizon:
 
@@ -36,9 +38,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import count, repeat
-from typing import Any, Callable, Iterator, Mapping
-
-import numpy as np
+from math import isqrt
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
@@ -370,7 +371,7 @@ class NightRuns:
 
     __slots__ = ("_edges",)
 
-    def __init__(self, edges: array) -> None:
+    def __init__(self, edges: list[int]) -> None:
         self._edges = edges
 
     def first(self, lo: int, hi: int) -> int | None:
@@ -392,24 +393,68 @@ class NightRuns:
         return k % 2 == 1 and (k == len(self._edges) or self._edges[k] > hi)
 
 
-class GameInstance:
-    """A schedule materialized on indices 1..horizon_cap.
+def _near_roots(lo: int, hi: int, quads: Iterable[tuple[int, int, int]]) -> list[int]:
+    """lo, then every index of [lo, hi] next to a real root of some a*x*x + b*x + c in quads, in order.
 
-    The cutoff cut(i) = i - min(max(b(i), 0), i), the last day of night i's
-    very-old pool, and the prefix sums S(i) and R(i) of s and r are computed
-    eagerly, in one pass (exact integers, guarded by ``digit_budget``); every
-    other value, b(i) = i - cut(i) and s(i) = S(i) - S(i-1) included, is read
-    from them. The cutoffs are an ``array('q')``, 8 bytes per index, and
-    ``memory_gap_range`` reads their min and max through a numpy view. The
-    instance is immutable afterwards and safe for concurrent readers.
+    A sign test on such a polynomial (q <= 0, q < 0, q > 0) changes value
+    between i - 1 and i only when q has a root in [i - 1, i]. The floor t of
+    the root estimated with ``isqrt`` is within 1.5 of it, so that i is one of
+    t, t + 1 and t + 2; the indices t - 1..t + 3 are returned, and the caller
+    confirms each edge by evaluating its test at them. Between two returned
+    indices no sign test on any of the polynomials changes value.
+    """
+    if lo > hi:
+        return []
+    points = {lo}
+    for a, b, c in quads:
+        if a:
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            root = isqrt(disc)
+            estimates: tuple[int, ...] = ((root - b) // (2 * a), (-root - b) // (2 * a))
+        elif b:
+            estimates = (-c // b,)
+        else:
+            continue
+        for t in estimates:
+            points.update(range(max(lo, t - 1), min(hi, t + 3) + 1))
+    return sorted(points)
+
+
+def _double_sum(closed: tuple[int, int], top: int, total: int) -> tuple[int, int, int]:
+    """(a2, b2, c2) with 2 * F(x) = (a2 * x + b2) * x + c2 for x >= top, where F(top) = total
+    and F(x) - F(x - 1) = a * x + c past top, for closed = (a, c)."""
+    a, c = closed
+    return a, a + 2 * c, 2 * total - (a * top + a + 2 * c) * top
+
+
+class GameInstance:
+    """A schedule on indices 1..horizon_cap: its table prefix stored, every later index closed-form.
+
+    P (``_top``) is the longest table prefix among the three specs (all of a
+    ``generated`` spec's values). For i <= P the cutoff
+    cut(i) = i - min(max(b(i), 0), i), the last day of night i's very-old
+    pool, is kept in an ``array('q')`` and the prefix sums S(i) and R(i) of s
+    and r in lists, computed in one pass (exact integers, guarded by
+    ``digit_budget``). Past P every function is a * i + c, so S and R are
+    exact integer quadratics and the cutoff is affine on at most three clamp
+    pieces (b < 0, 0 <= b <= i, b > i); they are read from their closed
+    forms, and every other value, b(i) = i - cut(i) and s(i) = S(i) - S(i-1)
+    included, from them. Memory and construction time grow with P, not with
+    horizon_cap. The instance is immutable afterwards and safe for
+    concurrent readers.
 
     Construction also records the restriction facts every caller reads
     instead of scanning: ``restriction1_first_violation``, the night before
     the first on which the cutoff decreases (b(i+1) > b(i) + 1) over all
-    materialized indices, and, over the valid prefix, the nights
-    ``restriction2_violations`` with Ltilde(i) <= r(i) and the nights
-    ``window_dips`` with Ltilde(i) < r(i), on which oldest-first removal
-    reaches into the memory window.
+    indices, and, over the valid prefix, the nights ``restriction2_violations``
+    with Ltilde(i) <= r(i) and the nights ``window_dips`` with
+    Ltilde(i) < r(i), on which oldest-first removal reaches into the memory
+    window. Past P each fact comes from the closed forms: a sign change of a
+    linear or quadratic function, located with ``isqrt`` and confirmed at
+    its neighbours, and nights whose cutoff still falls at or below P, of
+    which there are at most P + 1 per piece, evaluated one by one.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -427,9 +472,15 @@ class GameInstance:
         "window_dips",
         "_valid_through",
         "_playable_through",
+        "_top",
         "_cut",
         "_sum_s",
         "_sum_r",
+        "_closed_s",
+        "_closed_r",
+        "_quad_s",
+        "_quad_r",
+        "_pieces",
     )
 
     def __init__(
@@ -439,29 +490,33 @@ class GameInstance:
         digit_budget: int = DEFAULT_DIGIT_BUDGET,
     ):
         self.spec = spec
+        specs = (spec.r_spec, spec.s_spec, spec.b_spec)
 
         # A spec with no closed form ends the instance where its values end.
-        ends = [fs.hard_horizon() for fs in (spec.r_spec, spec.s_spec, spec.b_spec)]
+        ends = [fs.hard_horizon() for fs in specs]
         cap = min(h for h in [DEFAULT_HORIZON_CAP if horizon_cap is None else horizon_cap, *ends] if h is not None)
         if cap < 0:
             raise SpecInvalid(f"horizon_cap must be nonnegative, got {cap}")
         self.horizon_cap = cap
+        # Past top every spec is closed: a generated one makes cap <= its length <= top.
+        top = self._top = min(cap, max([len(fs.flat[0]) for fs in specs]))
 
         # Index 0 is a placeholder so value arrays are 1-based like the game.
-        cuts = array("q", bytes(8 * (cap + 1)))
-        sum_s: list[int] = [0] * (cap + 1)
-        sum_r: list[int] = [0] * (cap + 1)
+        cuts = self._cut = array("q", bytes(8 * (top + 1)))
+        sum_s = self._sum_s = [0] * (top + 1)
+        sum_r = self._sum_r = [0] * (top + 1)
         first_invalid: int | None = None
         first_break: int | None = None
-        r2_edges, dip_edges = array("q"), array("q")
-        r2 = dip = False
+        # (i, Ltilde(i) - r(i)) = (i, S(cut(i)) - R(i)) before Ltilde's clamp at zero, on
+        # valid nights; r(i) >= 1 on valid days makes the clamp irrelevant to its sign.
+        margins: list[tuple[int, int]] = []
 
         limit = budget_bits(digit_budget)
         acc_s = 0
         acc_r = 0
         cut = 0
-        # zip stops at the range: cap is at most every spec's hard_horizon(), so no stream ends sooner.
-        for i, ri, si, bi in zip(range(1, cap + 1), spec.r_spec, spec.s_spec, spec.b_spec):
+        # zip stops at the range: top is at most every spec's hard_horizon(), so no stream ends sooner.
+        for i, ri, si, bi in zip(range(1, top + 1), spec.r_spec, spec.s_spec, spec.b_spec):
             if first_invalid is None and not (1 <= ri < si and bi >= 0):
                 first_invalid = i
             # cut(i) = i - b(i), b clamped to [0, i]; the raw b is only needed for validity.
@@ -472,36 +527,190 @@ class GameInstance:
                 first_break = i - 1
             acc_s += si
             acc_r += ri
-            if max(acc_s, acc_r).bit_length() > limit:
+            if acc_s.bit_length() > limit or acc_r.bit_length() > limit:
                 guard_digits(acc_s, digit_budget, context=f"sum of arrivals through day {i}")
                 guard_digits(acc_r, digit_budget, context=f"sum of removals through night {i}")
             sum_s[i] = acc_s
             sum_r[i] = acc_r
             if first_invalid is None:
-                # Ltilde(i) before its clamp at zero; r(i) >= 1 on valid days
-                # makes the clamp irrelevant to both comparisons.
-                pool = sum_s[cut] - sum_r[i - 1]
-                if (pool <= ri) is not r2:
-                    r2 = not r2
-                    r2_edges.append(i)
-                if (pool < ri) is not dip:
-                    dip = not dip
-                    dip_edges.append(i)
+                margins.append((i, sum_s[cut] - acc_r))
 
-        self._cut = cuts
-        self._sum_s = sum_s
-        self._sum_r = sum_r
+        # Unread when every index is in the prefix.
+        self._closed_s = self._closed_r = (0, 0)
+        self._quad_s = self._quad_r = (0, 0, 0)
+        self._pieces = ()
+        if top < cap:
+            (ar, cr), (as_, cs), (ab, cb) = (fs.flat[1] for fs in specs)  # type: ignore[misc]
+            self._closed_s, self._closed_r = (as_, cs), (ar, cr)
+            self._quad_s = _double_sum((as_, cs), top, acc_s)
+            self._quad_r = _double_sum((ar, cr), top, acc_r)
+            self._pieces = self._clamp_pieces(ab, cb)
+            self._guard_tail(limit, digit_budget)
+            if first_invalid is None:
+                # Valid needs r >= 1, s - r >= 1 and b >= 0: three linear sign tests.
+                quads = ((0, ar, cr - 1), (0, as_ - ar, cs - cr - 1), (0, ab, cb))
+                first_invalid = next(
+                    (i for i in _near_roots(top + 1, cap, quads)
+                     if not (1 <= ar * i + cr < as_ * i + cs and ab * i + cb >= 0)),
+                    None,
+                )
+            if first_break is None:
+                # The cutoff is affine on each piece: it can first decrease at a piece's start or next index.
+                steps = sorted({start + k for start, _, _ in self._pieces for k in (0, 1) if start + k <= cap})
+                first_break = next((i - 1 for i in steps if self._cut_at(i) < self._cut_at(i - 1)), None)
+
         self.first_invalid_index = first_invalid
         self.restriction1_first_violation = first_break
         valid_end = self._valid_through = self.valid_end(cap)
         # The last nights that require_valid and require_playable pass.
         self._playable_through = valid_end if first_break is None else min(valid_end, first_break)
+
+        if top < valid_end:
+            margins += [(i, self._s_sum(self._cut_at(i)) - self._r_sum(i)) for i in self._tail_nights(valid_end)]
+        r2_edges: list[int] = []
+        dip_edges: list[int] = []
+        r2 = dip = False
+        for i, margin in margins:
+            if (margin <= 0) is not r2:
+                r2 = not r2
+                r2_edges.append(i)
+            if (margin < 0) is not dip:
+                dip = not dip
+                dip_edges.append(i)
         # Both restriction-2 conditions stop at the end of the valid prefix.
         for holds, edges in ((r2, r2_edges), (dip, dip_edges)):
             if holds:
                 edges.append(valid_end + 1)
         self.restriction2_violations = NightRuns(r2_edges)
         self.window_dips = NightRuns(dip_edges)
+
+    def _clamp_pieces(self, ab: int, cb: int) -> tuple[tuple[int, int, int], ...]:
+        """(start, m, k), the latest start first: cut(i) = m * i + k from start up to the next
+        piece's start, for i past the prefix, where b(i) = ab * i + cb."""
+        pieces: list[tuple[int, int, int]] = []
+        # The clamp's branch changes only where b(i) or b(i) - i changes sign.
+        for i in _near_roots(self._top + 1, self.horizon_cap, ((0, ab, cb), (0, ab - 1, cb))):
+            b = ab * i + cb
+            m, k = (1, 0) if b < 0 else (0, 0) if b > i else (1 - ab, -cb)
+            if not pieces or pieces[-1][1:] != (m, k):
+                pieces.append((i, m, k))
+        return tuple(reversed(pieces))
+
+    def _spans(self, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+        """(first, last, m, k): the clamp pieces cut to [lo, hi], in increasing order."""
+        spans, end = [], self.horizon_cap
+        for start, m, k in self._pieces:
+            first, last = max(lo, start), min(hi, end)
+            if first <= last:
+                spans.append((first, last, m, k))
+            end = start - 1
+        return spans[::-1]
+
+    def _guard_tail(self, limit: int, digit_budget: int) -> None:
+        """Raise LimitExceeded at the first index past the prefix where |S| or |R| has more than
+        ``limit`` bits, checking S, then R, as a per-index loop would; nothing if there is none."""
+        cap = self.horizon_cap
+        # |2F(x)| <= (|a| + |b| + |c|) * cap**2 on 1 <= x <= cap: most tails never come near.
+        near = [(a, b, c) for a, b, c in (self._quad_s, self._quad_r)
+                if ((abs(a) + abs(b) + abs(c)) * cap * cap).bit_length() > limit]
+        if not near:
+            return
+        bound = 2 << limit  # |F(x)| >= 2**limit exactly when 2F(x) - bound >= 0 or 2F(x) + bound <= 0
+        for x in _near_roots(self._top + 1, cap, [(a, b, c + d) for a, b, c in near for d in (-bound, bound)]):
+            guard_digits(self._s_sum(x), digit_budget, context=f"sum of arrivals through day {x}")
+            guard_digits(self._r_sum(x), digit_budget, context=f"sum of removals through night {x}")
+
+    def _tail_nights(self, last: int) -> list[int]:
+        """The nights past the prefix, up to last, at which S(cut(i)) - R(i) is evaluated to find
+        its sign changes: every one whose cutoff is at or below the prefix's end, and the nights
+        next to a root of the quadratic 2 * (S(cut(i)) - R(i)) on each clamp piece."""
+        top = self._top
+        nights: list[int] = []
+        a_s, b_s, c_s = self._quad_s
+        a_r, b_r, c_r = self._quad_r
+        for first, end, m, k in self._spans(top + 1, last):
+            if m == 0:
+                table, closed = range(0), (first, end)
+                quad = (-a_r, -b_r, 2 * self._s_sum(k) - c_r)
+            else:
+                # The nights whose cutoff m * i + k is at or below top read the table: at most
+                # top + 1 of them, at the start of the span when m > 0, at its end when m < 0.
+                if m > 0:
+                    last_table = (top - k) // m
+                    table, closed = range(first, min(end, last_table) + 1), (max(first, last_table + 1), end)
+                else:
+                    first_table = -((k - top) // m)  # ceil((top - k) / m)
+                    table, closed = range(max(first, first_table), end + 1), (first, min(end, first_table - 1))
+                quad = (a_s * m * m - a_r, (2 * a_s * k + b_s) * m - b_r, (a_s * k + b_s) * k + c_s - c_r)
+            nights += table
+            nights += _near_roots(*closed, (quad,))
+        return sorted(nights)
+
+    def _s_sum(self, x: int) -> int:
+        """S(x), arrivals on days 1..x, for 0 <= x <= horizon_cap."""
+        if x <= self._top:
+            return self._sum_s[x]
+        a, b, c = self._quad_s
+        return ((a * x + b) * x + c) >> 1
+
+    def _r_sum(self, x: int) -> int:
+        """R(x), removals on nights 1..x, for 0 <= x <= horizon_cap."""
+        if x <= self._top:
+            return self._sum_r[x]
+        a, b, c = self._quad_r
+        return ((a * x + b) * x + c) >> 1
+
+    def _cut_at(self, i: int) -> int:
+        """cut(i) = i - b(i), b clamped to [0, i], for 0 <= i <= horizon_cap."""
+        if i <= self._top:
+            return self._cut[i]
+        for start, m, k in self._pieces:  # the earliest piece starts at top + 1
+            if i >= start:
+                break
+        return m * i + k
+
+    def _s_inverse(self, v: int, hi: int) -> tuple[int, int]:
+        """(x, S(x)) for the last day x in 0..hi with S(x) <= v, for v >= 0, where days
+        1..hi are valid, so that S strictly increases on 0..hi."""
+        top = self._top
+        if hi <= top or self._sum_s[top] > v:
+            x = bisect_right(self._sum_s, v, 0, min(hi, top) + 1) - 1
+            return x, self._sum_s[x]
+        a, b, c = self._quad_s
+        if not a:  # 2S(x) = b * x + c past the prefix
+            x = min(hi, (2 * v - c) // b)
+            return x, (b * x + c) >> 1
+        # The root of a x^2 + b x + c - 2v on S's increasing side is (sqrt(disc) - b) / (2a); its
+        # floor is exact with floor(sqrt(disc)) over 2a > 0 and with ceil(sqrt(disc)) over 2a < 0.
+        disc = b * b - 4 * a * (c - 2 * v)
+        if disc < 0:  # a < 0 and S stays below v
+            return hi, self._s_sum(hi)
+        root = isqrt(disc)
+        if a < 0 and root * root < disc:
+            root += 1
+        x = min(hi, (root - b) // (2 * a))
+        return x, self._s_sum(x)
+
+    def _nights(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+        """(cut(i), S(cut(i)), R(i)) for i = lo..hi, R carried from night to night past the prefix."""
+        top, cut, sum_s, sum_r = self._top, self._cut, self._sum_s, self._sum_r
+        for i in range(lo, min(hi, top) + 1):
+            c = cut[i]
+            yield c, sum_s[c], sum_r[i]
+        lo = max(lo, top + 1)
+        if lo > hi:
+            return
+        a_s, b_s, c_s = self._quad_s
+        a_r, c_r = self._closed_r
+        after = self._r_sum(lo - 1)
+        r = a_r * lo + c_r  # r(lo), then + a_r a night
+        for first, last, m, k in self._spans(lo, hi):
+            x = m * first + k
+            for _ in range(first, last + 1):
+                after += r
+                r += a_r
+                yield x, sum_s[x] if x <= top else ((a_s * x + b_s) * x + c_s) >> 1, after
+                x += m
 
     def _check_read(self, lo: int, hi: int, last: int) -> None:
         """Raise what reading nights lo..hi raises, before any night is read, when
@@ -554,21 +763,30 @@ class GameInstance:
 
     def r_at(self, i: int) -> int:
         self.require_valid(i, i)
-        return self._sum_r[i] - self._sum_r[i - 1]
+        if i <= self._top:
+            return self._sum_r[i] - self._sum_r[i - 1]
+        a, c = self._closed_r
+        return a * i + c
 
     def s_at(self, i: int) -> int:
         self.require_valid(i, i)
-        return self._sum_s[i] - self._sum_s[i - 1]
+        if i <= self._top:
+            return self._sum_s[i] - self._sum_s[i - 1]
+        a, c = self._closed_s
+        return a * i + c
 
     def b_at(self, i: int) -> int:
         """Memory bound at night i, clamped to min(b(i), i): i - cut(i)."""
         self.require_valid(i, i)
-        return i - self._cut[i]
+        return i - self._cut_at(i)
 
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
         self.require_valid(i or 1, i)  # night 0 reads no night: 1..0 is empty
-        return self._sum_s[i] - self._sum_r[i]
+        if i <= self._top:
+            return self._sum_s[i] - self._sum_r[i]
+        (a, b, c), (d, e, f) = self._quad_s, self._quad_r
+        return (((a - d) * i + b - e) * i + c - f) >> 1
 
     def very_old_level(self, i: int) -> int:
         """Ltilde(i): very-old bags present when night i begins."""
@@ -577,18 +795,18 @@ class GameInstance:
     def very_old_level_unclamped(self, i: int) -> int:
         """The inner sum of Ltilde(i) before the max-with-zero clamp."""
         self.require_valid(i, i)
-        return self._sum_s[self._cut[i]] - self._sum_r[i - 1]
+        return self._s_sum(self._cut_at(i)) - self._r_sum(i - 1)
 
     def fifo_cut(self, i: int) -> tuple[int, int]:
         """(d, p) such that the first r(1) + ... + r(i) arrivals, which FIFO
         removal has taken by the end of night i, are the bags (day, pos) <= (d, p).
         """
         self.require_valid(i or 1, i)  # night 0 reads no night: 1..0 is empty
-        removed = self._sum_r[i]
+        removed = self._r_sum(i)
         # Arrivals strictly increase on the valid days 1..i and outnumber
         # the removals through night i, so the search can stop at day i.
-        d = bisect_right(self._sum_s, removed, 0, i + 1)
-        return d, removed - self._sum_s[d - 1]
+        last, s_last = self._s_inverse(removed, i)
+        return last + 1, removed - s_last
 
     def terms(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """(r(i), Ltilde(i)) for i = lo..hi, as ``r_at`` and ``very_old_level`` give them.
@@ -597,11 +815,9 @@ class GameInstance:
         self.require_valid(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
-            sum_s, sum_r, cut = self._sum_s, self._sum_r, self._cut
-            before = sum_r[lo - 1]
-            for i in range(lo, hi + 1):
-                after = sum_r[i]
-                pool = sum_s[cut[i]] - before  # a conditional, not max(): this loop is the hot path
+            before = self._r_sum(lo - 1)
+            for _, s_cut, after in self._nights(lo, hi):
+                pool = s_cut - before  # a conditional, not max(): this loop is the hot path
                 yield after - before, pool if pool > 0 else 0
                 before = after
 
@@ -619,52 +835,67 @@ class GameInstance:
         self.require_playable(lo, hi)
 
         def walk() -> Iterator[tuple[int, int]]:
-            sum_s, sum_r, cut, left = self._sum_s, self._sum_r, self._cut, self._bags_left
-            before = sum_r[lo - 1]
-            for i in range(lo, hi + 1):
-                after, cutoff = sum_r[i], cut[i]
+            s_day, s_before_day = self._s_sum(d), self._s_sum(d - 1)
+            before = self._r_sum(lo - 1)
+            for cutoff, s_cut, after in self._nights(lo, hi):
                 if d <= cutoff:
-                    pool, quota = sum_s[cutoff] - before, after - before
+                    pool, quota = s_cut - before, after - before
                     count = pool if pool > 0 else 0
                     yield count, quota if quota < count else count
                 else:
-                    count = left(d, before)
-                    yield count, count - left(d, after)
+                    count = max(0, s_day - max(s_before_day, before))
+                    yield count, count - max(0, s_day - max(s_before_day, after))
                 before = after
 
         return walk() if lo <= hi else iter(())
 
-    def _bags_left(self, d: int, removed: int) -> int:
-        """How many of day d's bags are still in the cave once FIFO over all
-        arrivals has taken the first ``removed`` of them."""
-        return max(0, self._sum_s[d] - max(self._sum_s[d - 1], removed))
-
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
         """[(key, count, take)]: the cells night i takes from, oldest first, as
         ``cells`` gives them; the key is VERY_OLD_KEY for the very-old pool, else the arrival day.
-        One bisection finds the oldest remembered day with bags left; the walk
-        stops at the day of ``fifo_cut(i)``.
+        Inverting S at R(i-1) finds the oldest remembered day with bags left; the
+        walk stops at the day of ``fifo_cut(i)``.
         """
         self.require_playable(i, i)
-        sum_s, sum_r = self._sum_s, self._sum_r
-        cutoff = self._cut[i]
-        before, after = sum_r[i - 1], sum_r[i]
-        pool = max(0, sum_s[cutoff] - before)
+        # The simulator's per-night hot path: cut(i), S(cut(i)), R(i-1) and R(i) read inline.
+        top, s_sum = self._top, self._s_sum
+        if i <= top:
+            cutoff = self._cut[i]
+            s_prev, before, after = self._sum_s[cutoff], self._sum_r[i - 1], self._sum_r[i]
+        else:
+            for start, m, k in self._pieces:  # the earliest piece starts at top + 1
+                if i >= start:
+                    break
+            cutoff = m * i + k
+            s_prev = s_sum(cutoff)
+            a, b, c = self._quad_r
+            after = ((a * i + b) * i + c) >> 1
+            before = after - a * i - self._closed_r[1]
+        pool = max(0, s_prev - before)
         cuts = [(VERY_OLD_KEY, pool, min(after - before, pool))] if pool else []
+        if s_prev >= after:  # the quota ends inside the very-old pool
+            return cuts
         # Arrivals strictly increase on valid days, and S(i) > R(i).
-        d = bisect_right(sum_s, before, cutoff + 1, i + 1)
-        while sum_s[d - 1] < after:
-            count = self._bags_left(d, before)
-            cuts.append((d, count, count - self._bags_left(d, after)))
-            d += 1
+        last, s_last = self._s_inverse(before, i)
+        d = max(cutoff, last) + 1
+        if last > cutoff:
+            s_prev = s_last
+        while s_prev < after:
+            s_day = s_sum(d)
+            # Day d's bags left after `before` and after `after` removals.
+            count = max(0, s_day - max(s_prev, before))
+            cuts.append((d, count, count - max(0, s_day - max(s_prev, after))))
+            d, s_prev = d + 1, s_day
         return cuts
 
     def memory_gap_range(self, horizon: int) -> tuple[int, int]:
-        """(min, max) of the cutoff i - b(i) over 1 <= i <= horizon, read by numpy
-        through a zero-copy view of the stored cutoffs."""
+        """(min, max) of the cutoff i - b(i) over 1 <= i <= horizon: the stored prefix,
+        then the ends of each affine clamp piece."""
         self.check_horizon(horizon)
-        gaps = np.frombuffer(self._cut, np.int64, count=horizon, offset=8)
-        return int(gaps.min()), int(gaps.max())
+        gaps = [m * x + k for first, last, m, k in self._spans(self._top + 1, horizon) for x in (first, last)]
+        stored = self._cut[1 : min(horizon, self._top) + 1]
+        if stored:
+            gaps += (min(stored), max(stored))
+        return min(gaps), max(gaps)
 
     def check_restrictions(self, horizon: int) -> RestrictionReport:
         """Validity and the two restrictions on [1, horizon], from the instance's facts."""

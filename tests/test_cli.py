@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,8 @@ from robinhood import FunctionSpec, GameInstance, SpecInvalid, classify, load_sc
 from robinhood import cli
 from robinhood.cli import DEFAULT_SEED, dispatch
 from robinhood.schedule import canonical_dumps, decimal_str
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_schedule(path, r=1, s=2, b=0) -> str:
@@ -532,6 +537,45 @@ def test_horizons_past_the_default_cap_match_the_library(sched, capsys) -> None:
         code, out = run(capsys, command, sched, "--horizon", str(horizon), *extra)
         assert code == 0
         assert out == canonical_dumps(result.as_dict()) + "\n"
+
+
+def test_validate_and_classify_answer_at_a_horizon_of_10_to_the_12(tmp_path, capsys) -> None:
+    # Constant and affine specs are read from their closed forms past their tables,
+    # so neither command builds anything the size of the horizon.
+    thm21 = write_schedule(tmp_path / "thm21.json", r=1, s=3, b=2)
+    prop11 = str(tmp_path / "prop11.json")
+    with open(prop11, "w", encoding="utf-8") as fh:
+        json.dump({"r": json.loads(_constant("1")), "s": json.loads(_constant("3")),
+                   "b": {"kind": "table", "values": [0] * 5, "tail": {"kind": "affine", "a": 1, "c": -5}}}, fh)
+    far = str(10**12)
+    code, out = run(capsys, "validate", thm21, "--horizon", far)
+    assert code == 0 and json.loads(out)["restriction1_ok"] is True
+    for path, rule in ((thm21, "Thm2.1"), (prop11, "Prop1.1")):
+        code, out = run(capsys, "classify", path, "--horizon", far)
+        assert code == 0 and json.loads(out)["rule"] == rule
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_a_long_simulate_holds_no_per_night_schedule_state(tmp_path) -> None:
+    # The instance stores only its table prefix, so the peak RSS of a 200 000-night
+    # simulate --out stays near that of a 2 000-night one; storing the schedule per
+    # index took the peak to 53 MB. VmHWM is the child's own peak (ru_maxrss would
+    # count the pytest process it was forked from).
+    sched = write_schedule(tmp_path / "sched.json", r=1, s=3, b=2)
+    script = (
+        "import sys\n"
+        "from robinhood.cli import dispatch\n"
+        "for nights in ('2000', '200000'):\n"
+        "    assert dispatch(['simulate', sys.argv[1], '--nights', nights, '--out', sys.argv[2]]) == 0\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, sched, str(tmp_path / "trace.jsonl")],
+                          capture_output=True, text=True, env=env, check=True)
+    short_kb, long_kb = map(int, proc.stderr.split())
+    assert long_kb - short_kb < 4 * 1024
+    assert long_kb < 53 * 1024
 
 
 def _constant(value: str) -> str:
