@@ -127,6 +127,8 @@ def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
 
 def _require_tag_positions(instance: GameInstance, d: int, positions: list[int]) -> None:
     """Raise SpecInvalid naming the smallest of the sorted ``positions`` outside day d's batch."""
+    if not positions:  # an untagged day has nothing to check, so s(d) is not read
+        return
     s_d = instance.s_at(d)
     for pos in positions:
         if not 1 <= pos <= s_d:

@@ -422,6 +422,17 @@ def _near_roots(lo: int, hi: int, quads: Iterable[tuple[int, int, int]]) -> list
     return sorted(points)
 
 
+def _cell(s_lo: int, s_hi: int, before: int, after: int) -> tuple[int, int]:
+    """(count, take) of the cell of arrival ranks s_lo+1..s_hi on a night that removes ranks
+    before+1..after: its ranks still in the cave (> before) and those the night removes."""
+    # Conditionals, not max(): night_cuts, on the simulator's per-night path, calls this.
+    left = s_hi - (s_lo if s_lo > before else before)
+    kept = s_hi - (s_lo if s_lo > after else after)
+    count = left if left > 0 else 0
+    take = count - kept if kept > 0 else count
+    return count, take
+
+
 def _double_sum(closed: tuple[int, int], top: int, total: int) -> tuple[int, int, int]:
     """(a2, b2, c2) with 2 * F(x) = (a2 * x + b2) * x + c2 for x >= top, where F(top) = total
     and F(x) - F(x - 1) = a * x + c past top, for closed = (a, c)."""
@@ -440,8 +451,10 @@ class GameInstance:
     ``digit_budget``). Past P every function is a * i + c, so S and R are
     exact integer quadratics and the cutoff is affine on at most three clamp
     pieces (b < 0, 0 <= b <= i, b > i); they are read from their closed
-    forms, and every other value, b(i) = i - cut(i) and s(i) = S(i) - S(i-1)
-    included, from them. Memory and construction time grow with P, not with
+    forms, each through its one reader (``_cut_at``, ``_s_sum``, ``_r_sum``),
+    and every other value from them: b(i) = i - cut(i), r(i) = R(i) - R(i-1),
+    s(i) = S(i) - S(i-1), and each cell's count and take by one rank rule,
+    ``_cell``. Memory and construction time grow with P, not with
     horizon_cap. The instance is immutable afterwards and safe for
     concurrent readers.
 
@@ -476,8 +489,6 @@ class GameInstance:
         "_cut",
         "_sum_s",
         "_sum_r",
-        "_closed_s",
-        "_closed_r",
         "_quad_s",
         "_quad_r",
         "_pieces",
@@ -536,12 +547,10 @@ class GameInstance:
                 margins.append((i, sum_s[cut] - acc_r))
 
         # Unread when every index is in the prefix.
-        self._closed_s = self._closed_r = (0, 0)
         self._quad_s = self._quad_r = (0, 0, 0)
         self._pieces = ()
         if top < cap:
             (ar, cr), (as_, cs), (ab, cb) = (fs.flat[1] for fs in specs)  # type: ignore[misc]
-            self._closed_s, self._closed_r = (as_, cs), (ar, cr)
             self._quad_s = _double_sum((as_, cs), top, acc_s)
             self._quad_r = _double_sum((ar, cr), top, acc_r)
             self._pieces = self._clamp_pieces(ab, cb)
@@ -701,9 +710,9 @@ class GameInstance:
         if lo > hi:
             return
         a_s, b_s, c_s = self._quad_s
-        a_r, c_r = self._closed_r
+        a_r, b_r, _ = self._quad_r
         after = self._r_sum(lo - 1)
-        r = a_r * lo + c_r  # r(lo), then + a_r a night
+        r = (a_r * (2 * lo - 1) + b_r) >> 1  # r(lo) = R(lo) - R(lo - 1), then + a_r a night
         for first, last, m, k in self._spans(lo, hi):
             x = m * first + k
             for _ in range(first, last + 1):
@@ -763,17 +772,11 @@ class GameInstance:
 
     def r_at(self, i: int) -> int:
         self.require_valid(i, i)
-        if i <= self._top:
-            return self._sum_r[i] - self._sum_r[i - 1]
-        a, c = self._closed_r
-        return a * i + c
+        return self._r_sum(i) - self._r_sum(i - 1)
 
     def s_at(self, i: int) -> int:
         self.require_valid(i, i)
-        if i <= self._top:
-            return self._sum_s[i] - self._sum_s[i - 1]
-        a, c = self._closed_s
-        return a * i + c
+        return self._s_sum(i) - self._s_sum(i - 1)
 
     def b_at(self, i: int) -> int:
         """Memory bound at night i, clamped to min(b(i), i): i - cut(i)."""
@@ -783,10 +786,7 @@ class GameInstance:
     def cave_level(self, i: int) -> int:
         """L(i): bags in the cave after night i; L(0) = 0."""
         self.require_valid(i or 1, i)  # night 0 reads no night: 1..0 is empty
-        if i <= self._top:
-            return self._sum_s[i] - self._sum_r[i]
-        (a, b, c), (d, e, f) = self._quad_s, self._quad_r
-        return (((a - d) * i + b - e) * i + c - f) >> 1
+        return self._s_sum(i) - self._r_sum(i)
 
     def very_old_level(self, i: int) -> int:
         """Ltilde(i): very-old bags present when night i begins."""
@@ -827,9 +827,10 @@ class GameInstance:
         """(count, take) for nights i = lo..hi: the size of the cell holding a day-d
         bag as night i begins (the very-old pool when d <= i - b(i), else day d's
         cell) and how many of it night i removes. Under restriction 1 oldest-first
-        removal is FIFO over cells: after night j, max(0, S(x) - R(j)) bags are left
-        from days <= x for every x at or past night j's cutoff. The range is checked
-        once, at the call: it raises what the first failing night would raise."""
+        removal is FIFO over arrival ranks: night i removes ranks R(i-1)+1..R(i), the
+        pool holds ranks 1..S(cut(i)) and day d ranks S(d-1)+1..S(d), and ``_cell``
+        counts both. The range is checked once, at the call: it raises what the
+        first failing night would raise."""
         if lo <= hi and not 1 <= d <= lo:
             raise IndexBeyondHorizon(f"cell of day {d} on night {lo} outside 1 <= d <= i <= {self.horizon_cap}")
         self.require_playable(lo, hi)
@@ -838,40 +839,21 @@ class GameInstance:
             s_day, s_before_day = self._s_sum(d), self._s_sum(d - 1)
             before = self._r_sum(lo - 1)
             for cutoff, s_cut, after in self._nights(lo, hi):
-                if d <= cutoff:
-                    pool, quota = s_cut - before, after - before
-                    count = pool if pool > 0 else 0
-                    yield count, quota if quota < count else count
-                else:
-                    count = max(0, s_day - max(s_before_day, before))
-                    yield count, count - max(0, s_day - max(s_before_day, after))
+                yield _cell(0, s_cut, before, after) if d <= cutoff else _cell(s_before_day, s_day, before, after)
                 before = after
 
         return walk() if lo <= hi else iter(())
 
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
-        """[(key, count, take)]: the cells night i takes from, oldest first, as
-        ``cells`` gives them; the key is VERY_OLD_KEY for the very-old pool, else the arrival day.
-        Inverting S at R(i-1) finds the oldest remembered day with bags left; the
-        walk stops at the day of ``fifo_cut(i)``.
-        """
+        """[(key, count, take)]: the cells night i takes from, oldest first, each counted
+        by ``_cell`` as in ``cells``; the key is VERY_OLD_KEY for the very-old pool, else the
+        arrival day. Past the pool, inverting S at R(i-1) finds the oldest remembered day
+        with bags left, and the walk stops at the day of ``fifo_cut(i)``."""
         self.require_playable(i, i)
-        # The simulator's per-night hot path: cut(i), S(cut(i)), R(i-1) and R(i) read inline.
-        top, s_sum = self._top, self._s_sum
-        if i <= top:
-            cutoff = self._cut[i]
-            s_prev, before, after = self._sum_s[cutoff], self._sum_r[i - 1], self._sum_r[i]
-        else:
-            for start, m, k in self._pieces:  # the earliest piece starts at top + 1
-                if i >= start:
-                    break
-            cutoff = m * i + k
-            s_prev = s_sum(cutoff)
-            a, b, c = self._quad_r
-            after = ((a * i + b) * i + c) >> 1
-            before = after - a * i - self._closed_r[1]
-        pool = max(0, s_prev - before)
-        cuts = [(VERY_OLD_KEY, pool, min(after - before, pool))] if pool else []
+        cutoff, before, after = self._cut_at(i), self._r_sum(i - 1), self._r_sum(i)
+        s_prev = self._s_sum(cutoff)
+        count, take = _cell(0, s_prev, before, after)
+        cuts = [(VERY_OLD_KEY, count, take)] if count else []
         if s_prev >= after:  # the quota ends inside the very-old pool
             return cuts
         # Arrivals strictly increase on valid days, and S(i) > R(i).
@@ -880,10 +862,9 @@ class GameInstance:
         if last > cutoff:
             s_prev = s_last
         while s_prev < after:
-            s_day = s_sum(d)
-            # Day d's bags left after `before` and after `after` removals.
-            count = max(0, s_day - max(s_prev, before))
-            cuts.append((d, count, count - max(0, s_day - max(s_prev, after))))
+            s_day = self._s_sum(d)
+            count, take = _cell(s_prev, s_day, before, after)
+            cuts.append((d, count, take))
             d, s_prev = d + 1, s_day
         return cuts
 

@@ -37,7 +37,9 @@ from robinhood import (
     run_trace,
     survival_curve,
 )
+from robinhood import schedule
 from robinhood.rng import CounterRNG, stream_key, word
+from robinhood.schedule import _cell
 
 from .conftest import make_instance
 from .count_cascade import VERY_OLD_KEY, CountCascade
@@ -123,6 +125,37 @@ def test_night_cuts_match_the_reference_cascade(inst: GameInstance) -> None:
     for i in range(played + 1, inst.horizon_cap + 1):
         assert _outcome(inst.night_cuts, i) is ref.error
     assert _outcome(inst.night_cuts, inst.horizon_cap + 1) is IndexBeyondHorizon
+
+
+_ORDERED_PAIRS = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(sorted)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ORDERED_PAIRS, _ORDERED_PAIRS)
+def test_the_rank_rule_counts_sets_of_ranks(ranks, night) -> None:
+    # A cell of ranks s_lo+1..s_hi on a night that removes ranks before+1..after.
+    (s_lo, s_hi), (before, after) = ranks, night
+    cell = set(range(s_lo + 1, s_hi + 1))
+    left, removed = cell - set(range(1, before + 1)), cell & set(range(before + 1, after + 1))
+    assert _cell(s_lo, s_hi, before, after) == (len(left), len(removed))
+
+
+def test_cells_and_night_cuts_count_through_the_one_rank_rule(monkeypatch) -> None:
+    # r=2, s=3, b=1: night 2 removes ranks 3..4, the last bag of the pool (day 1,
+    # ranks 1..3) and one of day 2 (ranks 4..6); night 3 takes day 2's last two as the pool.
+    calls = []
+
+    def counted(*args: int) -> tuple[int, int]:
+        calls.append(args)
+        return _cell(*args)
+
+    monkeypatch.setattr(schedule, "_cell", counted)
+    inst = make_instance(2, 3, 1, horizon_cap=5)
+    assert inst.night_cuts(2) == [(VERY_OLD_KEY, 1, 1), (2, 3, 1)]
+    assert calls == [(0, 3, 2, 4), (3, 6, 2, 4)]
+    calls.clear()
+    assert list(inst.cells(2, 2, 3)) == [(3, 1), (2, 2)]
+    assert calls == [(3, 6, 2, 4), (0, 6, 4, 6)]
 
 
 @settings(max_examples=300, deadline=None)

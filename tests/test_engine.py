@@ -165,6 +165,30 @@ def test_step_day_and_run_trace_name_the_same_bad_tag_position() -> None:
     assert str(traced.value) == str(stepped.value) == "tag position 5 outside day 2's batch of size 3"
 
 
+class _CountingInstance(GameInstance):
+    """A GameInstance that counts its ``s_at`` calls."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.s_at_calls = 0
+
+    def s_at(self, i: int) -> int:
+        self.s_at_calls += 1
+        return super().s_at(i)
+
+
+@pytest.mark.parametrize("strategy", [DET, RND])
+def test_an_untagged_night_reads_no_batch_size(strategy) -> None:
+    # Only a tagged day has positions to check against s(d).
+    spec = make_instance(1, 3, 2).spec
+    untagged = _CountingInstance(spec, horizon_cap=50)
+    run_trace(untagged, strategy, 50, 0)
+    assert untagged.s_at_calls == 0
+    tagged = _CountingInstance(spec, horizon_cap=50)
+    run_trace(tagged, strategy, 50, 0, tagged_days=[(7, 3)])
+    assert tagged.s_at_calls > 0
+
+
 # ------------------------------------------------------------ conservation
 
 
