@@ -67,6 +67,60 @@ class _Parser(argparse.ArgumentParser):
         raise SpecInvalid(f"argument error: {message}")
 
 
+class _TagRun(str):
+    """One argv item standing for a run of adjacent ``--tag-day VALUE`` pairs: its
+    text is the first VALUE, and ``texts`` lists every VALUE of the run in order."""
+
+    texts: list[str]
+
+
+def _fold_tag_runs(argv: list[str]) -> list[str]:
+    """``simulate``'s argv with each run of adjacent ``--tag-day VALUE`` pairs folded into
+    one pair whose VALUE is a ``_TagRun``; any other argv is returned as it is.
+
+    CPython 3.11's argparse scans every option string for each option it parses, so
+    thousands of flags would parse in quadratic time. A folded run parses as the pairs
+    it replaces: a VALUE that is not empty and does not start with '-' is always an
+    argument, a flag spelled exactly ``--tag-day`` is always this option, no option
+    of ``simulate`` takes an option string as its argument, and with no '--' in argv
+    nothing else reads the items of a run. ``_TagDays`` reads its values in order."""
+    if argv[:1] != ["simulate"] or "--" in argv:
+        return argv
+    out: list[str] = []
+    k = 0
+    while k < len(argv):
+        item = argv[k]
+        value = argv[k + 1] if item == "--tag-day" and k + 1 < len(argv) else ""
+        if value[:1] in ("", "-"):
+            out.append(item)
+            k += 1
+            continue
+        if out and isinstance(out[-1], _TagRun):  # the previous pair ends just here
+            out[-1].texts.append(value)
+        else:
+            run = _TagRun(value)
+            run.texts = [value]
+            out += [item, run]
+        k += 2
+    return out
+
+
+class _TagDays(argparse.Action):
+    """``--tag-day``: argparse's append with ``type=int`` and its message for a bad value,
+    without copying the list on every flag, for one value or a ``_TagRun`` of them."""
+
+    def __call__(self, parser, namespace, values, option_string=None):  # noqa: D102 - argparse contract
+        days = getattr(namespace, self.dest, None)
+        if days is None:
+            days = []
+            setattr(namespace, self.dest, days)
+        for text in getattr(values, "texts", (values,)):
+            try:
+                days.append(int(text))
+            except ValueError:
+                raise argparse.ArgumentError(self, f"invalid int value: {text!r}") from None
+
+
 def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
     if raw is None or raw == "":
@@ -320,7 +374,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nights", type=int, required=True)
     p.add_argument("--strategy", choices=[s.value for s in StrategyKind], default=StrategyKind.OLDEST_RND.value)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tag-day", type=int, action="append", help="tag the first bag of this day")
+    p.add_argument("--tag-day", action=_TagDays, help="tag the first bag of this day")
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (estimate mode)")
     p.add_argument("--out", default=None, help="write the trace JSONL here")
     add_budget(p)
@@ -349,7 +403,7 @@ def build_parser() -> _Parser:
 def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run the subcommand, mapping errors to exit codes."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_fold_tag_runs(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except RobinHoodError as exc:
         sys.stderr.write(canonical_dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

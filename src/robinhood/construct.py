@@ -43,7 +43,6 @@ from .analysis import (
     RULE_CONVERGENT,
     RULE_PINNED_POOL,
     SEPARATION_GENERATOR,
-    Verdict,
     classify,
 )
 from .errors import (
@@ -169,8 +168,9 @@ def separating_instance(
     Raises RestrictionViolated when b's memory gap can shrink, is provably
     bounded (``Prop1.1``: Robin then surely wins with memory b) or the
     widened gap i - c(i) never opens within the budget, ValidityViolated
-    if any finished index has r(i) >= s(i), and LimitExceeded when values
-    outgrow the digit budget.
+    if any finished index has r(i) >= s(i), LimitExceeded when values
+    outgrow the digit budget, and SpecInvalid, naming the least steps that
+    works, when the b file would end before classify could certify it.
     """
     if steps < 1:
         raise SpecInvalid(f"steps must be >= 1, got {steps}")
@@ -257,6 +257,22 @@ def separating_instance(
                 ltilde_b=ltilde_b,
                 term_b=term,
             )
+        )
+
+    # classify reads the b file alone, nights 1..len(s_table): Thm2.2 needs a night past
+    # its restriction-2 prefix, and night 2. The prefix ends where a certificate first
+    # clears its quota, the same for every larger steps; the file then ends at night
+    # n - b(n + 1) for n steps.
+    prefix = next((c.i - 1 for c in certificates if c.ltilde_b is not None and c.ltilde_b > c.r), steps)
+    need = max(2, prefix + 1)
+    if prefix < steps and len(s_table) < need:
+        least = steps + 1
+        while least - min(b_spec.value_at(least + 1), least) < need:
+            least += 1
+        raise SpecInvalid(
+            f"steps={steps} is too few: the b file holds nights 1..{len(s_table)}, and classify needs"
+            f" night {need}, past its restriction-2 prefix 1..{prefix} and at least 2;"
+            f" the least steps that works is {least}"
         )
 
     return SeparationInstance(
@@ -386,21 +402,20 @@ def verify_separation(
             f" violations at {r2_violations} are not a proper prefix of 1..{steps}"
         )
 
-    verdict_b: Verdict | None = None
-    verdict_c: Verdict | None = None
-    if inst_b.horizon_cap >= 2:
-        verdict_c = classify(inst_c, inst_c.horizon_cap)
-        verdict_b = classify(inst_b, inst_b.horizon_cap)
-        if (verdict_c.kind, verdict_c.rule) != (KIND_ROBIN_SURELY, RULE_PINNED_POOL):
-            raise VerificationFailed(
-                f"expected the c-side verdict ({KIND_ROBIN_SURELY}, {RULE_PINNED_POOL}),"
-                f" got ({verdict_c.kind}, {verdict_c.rule})"
-            )
-        if (verdict_b.kind, verdict_b.rule) != (KIND_SHERIFF_AS, RULE_CONVERGENT):
-            raise VerificationFailed(
-                f"expected the b-side verdict ({KIND_SHERIFF_AS}, {RULE_CONVERGENT}),"
-                f" got ({verdict_b.kind}, {verdict_b.rule})"
-            )
+    if inst_b.horizon_cap < 2:
+        raise VerificationFailed(f"the b file holds nights 1..{inst_b.horizon_cap}: too few to classify")
+    verdict_c = classify(inst_c, inst_c.horizon_cap)
+    verdict_b = classify(inst_b, inst_b.horizon_cap)
+    if (verdict_c.kind, verdict_c.rule) != (KIND_ROBIN_SURELY, RULE_PINNED_POOL):
+        raise VerificationFailed(
+            f"expected the c-side verdict ({KIND_ROBIN_SURELY}, {RULE_PINNED_POOL}),"
+            f" got ({verdict_c.kind}, {verdict_c.rule})"
+        )
+    if (verdict_b.kind, verdict_b.rule) != (KIND_SHERIFF_AS, RULE_CONVERGENT):
+        raise VerificationFailed(
+            f"expected the b-side verdict ({KIND_SHERIFF_AS}, {RULE_CONVERGENT}),"
+            f" got ({verdict_b.kind}, {verdict_b.rule})"
+        )
 
     return {
         "ok": True,
@@ -408,8 +423,8 @@ def verify_separation(
         "playable_horizon": inst_b.horizon_cap,
         "uncoverable_indices": uncoverable,
         "restriction2_violation_prefix_under_b": r2_violations,
-        "verdict_c": verdict_c.as_dict() if verdict_c is not None else None,
-        "verdict_b": verdict_b.as_dict() if verdict_b is not None else None,
+        "verdict_c": verdict_c.as_dict(),
+        "verdict_b": verdict_b.as_dict(),
     }
 
 

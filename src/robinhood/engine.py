@@ -4,16 +4,18 @@ The partition on night i is the very-old pool (arrival day <= i - b(i)),
 then one cell per remembered arrival day, oldest first. Removal empties
 whole cells oldest first until the quota r(i) lands inside one boundary
 cell. Every cell's count and take is an instance fact read from the prefix
-sums (``GameInstance.night_cuts``), so the state holds only the tagged
-bags: cells of astronomical size cost nothing, and a night costs one
-bisection plus the cells and tags it touches, whatever the memory bound.
-Tagged bags keep their exact joint removal law. Bag ``pos`` of day d has
-arrival rank s(1) + ... + s(d-1) + pos, and the deterministic variant is
-FIFO over all arrivals (``GameInstance.fifo_cut``); the randomized one
-resolves the tags inside a partly removed cell by an exact hypergeometric
-draw. The state lists the in-cave tags once, in arrival order, so a night
-finds the tags of each cell its quota touches as one slice by bisection on
-day, and ``oldest-det`` reads only the tags it removes.
+sums, so the state holds only the tagged bags, and cells of astronomical
+size cost nothing. ``run_trace`` checks every night and tag once, before
+its first line, then reads its nights as one stream (``GameInstance.plays``)
+that carries the cutoff, R, S and the last day FIFO has emptied from night
+to night; ``step_day``, ``select_removals`` and ``apply_removals`` play one
+night at a time with the same tag and removal code. Bag ``pos`` of day d
+has arrival rank s(1) + ... + s(d-1) + pos. ``oldest-det`` is FIFO over
+all arrivals; ``oldest-rnd`` resolves the tags inside a partly removed cell
+by an exact hypergeometric draw, which keeps the tags' joint removal law.
+The in-cave tags are listed once, in arrival order, so a night finds each
+cell's tags as one slice by bisection on day, and a night costs the cells
+and tags it touches plus a few bisections, whatever the memory bound.
 
 Randomness is addressable: the draw stream for night i of trial t under
 master seed S has key ``stream_key(S, t, i)`` = child_key(child_key(S, t), i)
@@ -37,17 +39,9 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .errors import SpecInvalid, VerificationFailed
-from .rng import (
-    RNG_VERSION,
-    CounterRNG,
-    child_bases_vec,
-    child_key,
-    child_keys_many,
-    child_keys_vec,
-    words_vec,
-)
+from .rng import RNG_VERSION, CounterRNG, child_bases_vec, child_key, child_keys_many, child_keys_vec, words_vec
 # Removal records key the very-old pool by VERY_OLD_KEY, as night_cuts does.
-from .schedule import VERY_OLD_KEY, GameInstance, canonical_dumps, decimal_str
+from .schedule import VERY_OLD_KEY, GameInstance, Play, canonical_dumps, decimal_str
 
 TRACE_FORMAT = "rh-trace-v1"
 MC_BLOCK_WORDS = 1 << 15  # size of one Monte Carlo draw's (nights x live trials) grid
@@ -84,8 +78,7 @@ class TaggedBag:
 
 @dataclass
 class CaveState:
-    """Mutable tag state owned by a single run; the cell counts are the
-    instance's (``GameInstance.night_cuts``).
+    """Mutable tag state owned by a single run; the cell counts are the instance's.
 
     ``night`` is the last completed night and ``day`` the last day whose
     batch has arrived. ``tagged`` is in id order, which is (day, pos)
@@ -102,27 +95,25 @@ class CaveState:
 
 
 def step_day(state: CaveState, instance: GameInstance, i: int) -> CaveState:
-    """Apply day i: tag the new batch, then check the night is playable.
-
-    Arrival days at or below i - b(i) form the very-old pool. A memory
-    bound that grows by more than one per night would require a forgotten
-    day to re-enter the window, which the oldest-first cells cannot
-    represent: ``instance.require_playable(1, i)`` raises RestrictionViolated.
-    """
+    """Apply day i: tag the new batch, then check the night is playable. A memory bound that
+    grows by more than one a night would re-admit a forgotten day, which the oldest-first cells
+    cannot represent: ``instance.require_playable(1, i)`` raises RestrictionViolated."""
     if i != state.night + 1 or state.day == i:
         raise SpecInvalid(f"step_day for day {i} but day {state.day} and night {state.night} are done")
     instance.check_horizon(i)
-    positions = sorted(state.pending_tags.pop(i, ()))  # ids in position order
+    positions = sorted(state.pending_tags.pop(i, ()))
     _require_tag_positions(instance, i, positions)
-
-    for pos in positions:
-        bag_id = len(state.tagged) + 1
-        state.tagged.append(TaggedBag(id=bag_id, day=i, pos=pos))
-        state.in_cave.append(bag_id)
-
+    _tag(state, i, positions)
     instance.require_playable(1, i)
     state.day = i
     return state
+
+
+def _tag(state: CaveState, day: int, positions: Iterable[int]) -> None:
+    """Tag day ``day``'s bags at the sorted ``positions``; ids continue 1, 2, ... in creation order."""
+    for pos in positions:
+        state.tagged.append(TaggedBag(id=len(state.tagged) + 1, day=day, pos=pos))
+        state.in_cave.append(len(state.tagged))
 
 
 def _require_tag_positions(instance: GameInstance, d: int, positions: list[int]) -> None:
@@ -214,58 +205,63 @@ def select_removals(
     strategy: "StrategyKind | str",
     rng: CounterRNG | None = None,
 ) -> RemovalPlan:
-    """Plan night i's removals without mutating the state.
-
-    The cells and their takes are ``instance.night_cuts(i)``: whole cells
-    oldest first until the quota r(i) lands inside one boundary cell. The
-    deterministic strategy removes the tagged bags that FIFO has reached by
-    the end of night i. The randomized one takes the boundary remainder
-    uniformly: tagged bags inside it are resolved by an exact
-    hypergeometric draw, then a uniform choice of which tagged ones go.
-    """
+    """Plan night i's removals without mutating the state: the cells and takes of
+    ``instance.night_cuts(i)`` and the tagged bags ``_removed_tags`` picks."""
     strategy = as_strategy(strategy)
     if i != state.night + 1 or state.day != i:
         raise SpecInvalid(f"select_removals for night {i} but day {state.day} and night {state.night} are done")
     if strategy is StrategyKind.OLDEST_RND and rng is None:
         raise SpecInvalid("randomized strategy needs an rng stream")
-    cuts = instance.night_cuts(i)
+    play = next(instance.plays(i, i))
+    return RemovalPlan(night=i, cells=[(key, take) for key, _, take in play[4]],
+                       removed_tagged=_removed_tags(state, strategy, play, rng))
 
+
+def _removed_tags(state: CaveState, strategy: StrategyKind, play: Play, rng: CounterRNG | None) -> list[int]:
+    """The ids, in increasing order, of the in-cave tagged bags that the night ``play``
+    (an item of ``GameInstance.plays``) removes: whole cells go oldest first until the quota
+    lands inside one boundary cell. ``oldest-det`` removes the bags FIFO has reached;
+    ``oldest-rnd`` takes each cell's share uniformly, drawing how many of its tags go by an
+    exact hypergeometric draw, then which of them."""
+    cutoff, _, _, _, cuts, fifo = play
     # tagged is in id order, which is (day, pos) order, and so is in_cave: FIFO
     # reaches a run from its front, and a cell's tags, those of days key..key
-    # (1..i - b(i) for the pool), are one run in it, found by bisecting ids.
+    # (1..cutoff for the pool), are one run in it, found by bisecting ids.
     in_cave, tagged = state.in_cave, state.tagged
-    removed_tagged: list[int] = []
     if strategy is StrategyKind.OLDEST_DET:
-        last = bisect_right(tagged, instance.fifo_cut(i), key=_DAY_POS)  # the ids FIFO has reached are 1..last
-        removed_tagged = in_cave[: bisect_right(in_cave, last)]
-    elif in_cave:  # with no tag in the cave every draw is forced, so none is made
-        for key, count, take in cuts:
+        last = bisect_right(tagged, fifo, key=_DAY_POS)  # the ids FIFO has reached are 1..last
+        return in_cave[: bisect_right(in_cave, last)]
+    removed: list[int] = []
+    if in_cave:  # with no tag in the cave every draw is forced, so none is made
+        for key, count, take in cuts:  # oldest first, so the ids come out in increasing order
             lo = bisect_left(in_cave, bisect_left(tagged, key, key=_DAY) + 1)
-            end = bisect_left(tagged, (key or i - instance.b_at(i)) + 1, key=_DAY) + 1
+            end = bisect_left(tagged, (key or cutoff) + 1, key=_DAY) + 1
             t = bisect_left(in_cave, end, lo) - lo
             # A whole cell draws nothing: both draws are forced.
             j = sample_hypergeom(count, t, take, rng)
-            removed_tagged.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
-
-    return RemovalPlan(night=i, cells=[(key, take) for key, _, take in cuts], removed_tagged=removed_tagged)
+            removed.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
+    return removed
 
 
 def apply_removals(state: CaveState, plan: RemovalPlan) -> CaveState:
     """Commit a removal plan produced by select_removals on this state."""
     if plan.night != state.night + 1 or state.day != plan.night:
         raise SpecInvalid(f"plan for night {plan.night} but day {state.day} and night {state.night} are done")
-
     for bag_id in plan.removed_tagged:
         if not 1 <= bag_id <= len(state.tagged):
             raise SpecInvalid(f"plan removes unknown tagged bag {bag_id}")
-        bag = state.tagged[bag_id - 1]  # ids are 1, 2, ... in creation order
-        if not bag.in_cave:
+        if not state.tagged[bag_id - 1].in_cave:  # ids are 1, 2, ... in creation order
             raise SpecInvalid(f"plan removes tagged bag {bag_id} twice")
-        bag.removed_night = plan.night
-        del state.in_cave[bisect_left(state.in_cave, bag_id)]
-
+        _remove(state, plan.night, (bag_id,))
     state.night = plan.night
     return state
+
+
+def _remove(state: CaveState, night: int, ids: Iterable[int]) -> None:
+    """Mark the in-cave tagged bags ``ids`` removed on ``night`` and drop them from ``in_cave``."""
+    for bag_id in ids:
+        state.tagged[bag_id - 1].removed_night = night
+        del state.in_cave[bisect_left(state.in_cave, bag_id)]
 
 
 @dataclass
@@ -308,16 +304,14 @@ def _normalize_tags(tagged_days: Iterable[int | tuple[int, int]]) -> dict[int, l
     return pending
 
 
-def _require_traceable(instance: GameInstance, nights: int, pending: dict[int, list[int]]) -> None:
-    """Raise what playing nights 1..nights would raise, before the first
-    line: at each tagged day, the errors of earlier nights first, then an
-    invalid day, then a tag position outside the day's batch."""
+def _require_tags(instance: GameInstance, nights: int, pending: dict[int, list[int]]) -> None:
+    """Raise, at each tagged day d <= nights in turn, what playing nights 1..d - 1 raises,
+    then SpecInvalid for a tag position outside day d's batch."""
     for d in sorted(pending):
         if d > nights:
             break
         instance.require_playable(1, d - 1)
         _require_tag_positions(instance, d, pending[d])
-    instance.require_playable(1, nights)
 
 
 def run_trace(
@@ -346,8 +340,8 @@ def run_trace(
     pending = _normalize_tags(tagged_days)
     if pending and max(pending) > nights + 1:  # a bag of day nights + 1 arrives after the last night
         raise SpecInvalid(f"nights must be >= day - 1, got nights={nights} day={max(pending)}")
-    _require_traceable(instance, nights, pending)
-    state = CaveState(pending_tags={d: list(ps) for d, ps in pending.items()})
+    _require_tags(instance, nights, pending)
+    plays = instance.plays(1, nights)  # raises what playing nights 1..nights raises, before the first line
 
     header = {
         "format": TRACE_FORMAT,
@@ -373,19 +367,21 @@ def run_trace(
             sink(text)
 
     emit(canonical_dumps(header))
+    # Every night and tag is checked, so the loop checks nothing.
+    state, rnd = CaveState(), strategy is StrategyKind.OLDEST_RND
     # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive the trial's key once.
     trial_key = child_key(seed, trial_index)
-    for i in range(1, nights + 1):
-        step_day(state, instance, i)
-        rng = CounterRNG(child_key(trial_key, i)) if strategy is StrategyKind.OLDEST_RND else None
-        plan = select_removals(state, instance, i, strategy, rng)
-        apply_removals(state, plan)
-        removed = [state.tagged[bag_id - 1] for bag_id in sorted(plan.removed_tagged)]
-        after = instance.cave_level(i)
+    for i, play in enumerate(plays, 1):
+        if i in pending:
+            _tag(state, i, pending[i])
+        removed = _removed_tags(state, strategy, play, CounterRNG(child_key(trial_key, i)) if rnd else None)
+        _remove(state, i, removed)
+        _, before, after, s_i, cuts, _ = play
         # The record as canonical_dumps would write it: keys sorted, no whitespace.
-        cells = ",".join([f'[{key},"{decimal_str(take)}"]' for key, take in plan.cells])
-        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{decimal_str(b.pos)}"}}' for b in removed])
-        emit(f'{{"cave_after":"{decimal_str(after)}","cave_before":"{decimal_str(after + instance.r_at(i))}",'
+        cells = ",".join([f'[{key},"{decimal_str(take)}"]' for key, _, take in cuts])
+        bags = [state.tagged[bag_id - 1] for bag_id in removed]
+        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{decimal_str(b.pos)}"}}' for b in bags])
+        emit(f'{{"cave_after":"{decimal_str(s_i - after)}","cave_before":"{decimal_str(s_i - before)}",'
              f'"i":{i},"removed_cells":[{cells}],"tagged_events":[{events}]}}')
 
     digest = hasher.hexdigest()

@@ -58,6 +58,9 @@ VERY_OLD_KEY = 0
 
 _KINDS = ("constant", "affine", "table", "generated")
 
+#: One night of ``GameInstance.plays``: (cut(i), R(i-1), R(i), S(i), [(key, count, take)], (d, p)).
+Play = tuple[int, int, int, int, list[tuple[int, int, int]], tuple[int, int]]
+
 
 def _to_decimal(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
     """n (0 <= n < 2**bits) as an exact Decimal, split at a power of two and recombined."""
@@ -446,17 +449,14 @@ class GameInstance:
     P (``_top``) is the longest table prefix among the three specs (all of a
     ``generated`` spec's values). For i <= P the cutoff
     cut(i) = i - min(max(b(i), 0), i), the last day of night i's very-old
-    pool, is kept in an ``array('q')`` and the prefix sums S(i) and R(i) of s
-    and r in lists, computed in one pass (exact integers, guarded by
-    ``digit_budget``). Past P every function is a * i + c, so S and R are
-    exact integer quadratics and the cutoff is affine on at most three clamp
-    pieces (b < 0, 0 <= b <= i, b > i); they are read from their closed
-    forms, each through its one reader (``_cut_at``, ``_s_sum``, ``_r_sum``),
-    and every other value from them: b(i) = i - cut(i), r(i) = R(i) - R(i-1),
-    s(i) = S(i) - S(i-1), and each cell's count and take by one rank rule,
-    ``_cell``. Memory and construction time grow with P, not with
-    horizon_cap. The instance is immutable afterwards and safe for
-    concurrent readers.
+    pool, and the prefix sums S(i) and R(i) of s and r are stored, computed in
+    one pass (exact integers, guarded by ``digit_budget``). Past P S and R are
+    integer quadratics and the cutoff is affine on at most three clamp pieces
+    (b < 0, 0 <= b <= i, b > i). Each has one reader (``_cut_at``, ``_s_sum``,
+    ``_r_sum``), every other value is read through them, and each cell's
+    count and take by one rank rule, ``_cell``. Memory and construction time
+    grow with P, not with horizon_cap. The instance is immutable afterwards
+    and safe for concurrent readers.
 
     Construction also records the restriction facts every caller reads
     instead of scanning: ``restriction1_first_violation``, the night before
@@ -477,21 +477,9 @@ class GameInstance:
     """
 
     __slots__ = (
-        "spec",
-        "horizon_cap",
-        "first_invalid_index",
-        "restriction1_first_violation",
-        "restriction2_violations",
-        "window_dips",
-        "_valid_through",
-        "_playable_through",
-        "_top",
-        "_cut",
-        "_sum_s",
-        "_sum_r",
-        "_quad_s",
-        "_quad_r",
-        "_pieces",
+        "spec", "horizon_cap", "first_invalid_index", "restriction1_first_violation", "restriction2_violations",
+        "window_dips", "_valid_through", "_playable_through", "_top", "_cut", "_sum_s", "_sum_r", "_quad_s",
+        "_quad_r", "_pieces",
     )
 
     def __init__(
@@ -844,29 +832,45 @@ class GameInstance:
 
         return walk() if lo <= hi else iter(())
 
+    def plays(self, lo: int, hi: int) -> Iterator[Play]:
+        """(cut(i), R(i-1), R(i), S(i), night_cuts(i), fifo_cut(i)) for nights i = lo..hi, the
+        simulator's stream, checked once, at the call, as ``cells`` is. FIFO over ranks never
+        moves back, so the last day x with S(x) <= R(i) is found once, for R(lo-1), by
+        inverting S, then carried: a night moves it to the cutoff when its quota passes the
+        whole pool, else one day at a time. The days it passes, and the partly removed one
+        after them, are the night's cells past the pool, and fifo_cut(i) is (x + 1, R(i) - S(x))."""
+        self.require_playable(lo, hi)
+
+        def walk() -> Iterator[Play]:
+            top, sum_s = self._top, self._sum_s
+            a, b, c = self._quad_s
+            before = self._r_sum(lo - 1)
+            # S(lo - 1) > R(lo - 1) on valid days, so x < lo, and x < i on every night: S(x + 1) is readable.
+            x, s_x = self._s_inverse(before, lo)
+            s_next = self._s_sum(x + 1)
+            for i, (cutoff, s_cut, after) in enumerate(self._nights(lo, hi), lo):
+                count, take = _cell(0, s_cut, before, after)
+                cuts = [(VERY_OLD_KEY, count, take)] if count else []
+                if x < cutoff and s_cut <= after:  # the quota passes the whole pool
+                    x, s_x, s_next = cutoff, s_cut, self._s_sum(cutoff + 1)
+                while s_x < after:
+                    d = x + 1
+                    if d > cutoff:
+                        cuts.append((d, *_cell(s_x, s_next, before, after)))
+                    if s_next > after:
+                        break
+                    x, s_x, d = d, s_next, d + 1
+                    s_next = sum_s[d] if d <= top else ((a * d + b) * d + c) >> 1
+                s_i = sum_s[i] if i <= top else ((a * i + b) * i + c) >> 1
+                yield cutoff, before, after, s_i, cuts, (x + 1, after - s_x)
+                before = after
+
+        return walk() if lo <= hi else iter(())
+
     def night_cuts(self, i: int) -> list[tuple[int, int, int]]:
-        """[(key, count, take)]: the cells night i takes from, oldest first, each counted
-        by ``_cell`` as in ``cells``; the key is VERY_OLD_KEY for the very-old pool, else the
-        arrival day. Past the pool, inverting S at R(i-1) finds the oldest remembered day
-        with bags left, and the walk stops at the day of ``fifo_cut(i)``."""
-        self.require_playable(i, i)
-        cutoff, before, after = self._cut_at(i), self._r_sum(i - 1), self._r_sum(i)
-        s_prev = self._s_sum(cutoff)
-        count, take = _cell(0, s_prev, before, after)
-        cuts = [(VERY_OLD_KEY, count, take)] if count else []
-        if s_prev >= after:  # the quota ends inside the very-old pool
-            return cuts
-        # Arrivals strictly increase on valid days, and S(i) > R(i).
-        last, s_last = self._s_inverse(before, i)
-        d = max(cutoff, last) + 1
-        if last > cutoff:
-            s_prev = s_last
-        while s_prev < after:
-            s_day = self._s_sum(d)
-            count, take = _cell(s_prev, s_day, before, after)
-            cuts.append((d, count, take))
-            d, s_prev = d + 1, s_day
-        return cuts
+        """[(key, count, take)]: the cells night i takes from, oldest first, each counted by ``_cell``;
+        the key is VERY_OLD_KEY for the very-old pool, else the arrival day. The one-night ``plays``."""
+        return next(self.plays(i, i))[4]
 
     def memory_gap_range(self, horizon: int) -> tuple[int, int]:
         """(min, max) of the cutoff i - b(i) over 1 <= i <= horizon: the stored prefix,

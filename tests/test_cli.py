@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -720,3 +723,77 @@ def test_a_negative_nights_is_refused_as_nights(sched, capsys, argv, message) ->
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err) == {"error": "SpecInvalid", "message": message}
+
+
+def _stock_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with ``--tag-day`` as argparse's own append of ``type=int`` values."""
+    parser = cli.build_parser.__wrapped__()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = commands.choices["simulate"]._option_string_actions["--tag-day"]
+    action.__class__, action.type = argparse._AppendAction, int
+    return parser
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """The namespace a parse gives, or its usage error, or its exit code and printed help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return ("ok", vars(parser.parse_args(argv)))
+    except SpecInvalid as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+
+
+_ARGV_CORPUS = [
+    ["simulate", "s.json", "--nights", "5"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "3", "--tag-day", "1", "--tag-day", "3"],
+    ["simulate", "s.json", "--tag-day=7", "--nights", "5"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "-5", "--tag-day", "2"],
+    ["simulate", "s.json", "--nights", "5", "--tag", "3", "--tag-day", "4"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "2", "--tag-day", "x", "--tag-day", "y"],
+    ["simulate", "s.json", "--nights", "5", "--out", "--tag-day", "3", "x.json"],
+    ["simulate", "s.json", "--nights", "5", "--", "--tag-day", "3"],
+    ["simulate", "--nights", "5", "--", "--tag-day", "3"],
+    ["simulate", "s.json", "--nights", "5", "--", "--tag-day", "3", "--tag-day", "4"],
+    ["simulate", "--nights", "5", "--", "--tag-day", "3", "--tag-day", "4"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "3", "--tag-day", "--bogus"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "3", "--tag-day", "-h"],
+    ["simulate", "--tag-day", "1", "--tag-day", "2", "s.json", "--nights", "5", "--tag-day", "3"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "1", "--tag-day", "2", "extra", "--tag-day", "3"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", " 7", "--tag-day", "7_0", "--tag-day", "+8"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "", "--tag-day", "1"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "1", "--s", "2"],
+    ["simulate", "s.json", "--nights", "5", "--tag-day", "1", "--tag-day", "2", "-h"],
+    ["simulate", "s.json", "--nights", "x", "--tag-day", "1", "--tag-day", "y"],
+    ["simulate", "s.json", "--tag-day", "1", "--tag-day", "2"],
+    ["simulate", "s.json", "--nights", "5", "--trials", "9", "--tag-day", "4"],
+    ["classify", "s.json", "--tag-day", "3", "--tag-day", "4"],
+    ["--tag-day", "3", "simulate", "s.json", "--nights", "5"],
+]
+
+_ARGV_TOKENS = ["simulate", "s.json", "--nights", "5", "--tag-day", "--tag-day", "--tag-day", "--tag", "--tag-day=7",
+                "--tag-day=", "3", "3", "-5", "x", " 7", "--", "--out", "o.json", "--seed", "--s", "-", "", "--bogus",
+                "--trials", "-x", "-h"]
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+def test_folded_tag_runs_parse_as_stock_argparse(argv) -> None:
+    assert _parsed(cli.build_parser(), cli._fold_tag_runs(argv)) == _parsed(_stock_parser(), argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=14), command=st.booleans())
+def test_any_argv_parses_as_stock_argparse(tokens, command) -> None:
+    argv = ["simulate", *tokens] if command else tokens
+    assert _parsed(cli.build_parser(), cli._fold_tag_runs(argv)) == _parsed(_stock_parser(), argv)
+
+
+def test_thousands_of_tag_days_fold_into_one_pair() -> None:
+    days = [str(d) for d in range(1, 4001)]
+    argv = ["simulate", "s.json", "--nights", "4000", *(t for d in days for t in ("--tag-day", d))]
+    folded = cli._fold_tag_runs(argv)
+    assert folded[:4] == argv[:4] and folded[4] == "--tag-day" and folded[5].texts == days and len(folded) == 6
+    assert cli.build_parser().parse_args(folded).tag_day == list(range(1, 4001))

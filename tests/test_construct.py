@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robinhood import (
     FunctionSpec,
@@ -16,11 +22,13 @@ from robinhood import (
     SpecInvalid,
     ValidityViolated,
     VerificationFailed,
+    classify,
     load_schedule,
     separating_instance,
     verify_separation,
     write_instance_files,
 )
+from robinhood.cli import dispatch
 from robinhood.schedule import canonical_dumps, decimal_str
 
 
@@ -240,3 +248,39 @@ def test_playable_horizon_shrinks_with_larger_memory() -> None:
 def test_steps_must_be_positive() -> None:
     with pytest.raises(SpecInvalid):
         separating_instance(FunctionSpec.constant(0), 0)
+
+
+def _construct(k: int, steps: int, folder: str) -> tuple[int, dict]:
+    """Exit code and printed JSON (stdout, else the error on stderr) of ``construct constant:k``."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["construct", "--memory-b", f"constant:{k}", "--steps", str(steps), "-o", os.path.join(folder, "sep")]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, json.loads(out.getvalue() or err.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), steps=st.integers(1, 10))
+@example(k=3, steps=6)  # the README's example: the least steps that works is 7
+def test_construct_refuses_too_few_steps_or_writes_what_it_reports(k, steps) -> None:
+    with tempfile.TemporaryDirectory() as folder:
+        code, obj = _construct(k, steps, folder)
+        if code == 0:
+            report = obj["verification"]
+            for role in ("b", "c"):
+                inst = GameInstance(load_schedule(obj["files"][role]))
+                assert inst.horizon_cap == report["playable_horizon"] >= 2
+                assert classify(inst, inst.horizon_cap).as_dict() == report[f"verdict_{role}"]
+            return
+        assert os.listdir(folder) == []
+        if steps <= k:  # c = k + 1 covers every day through step k + 1: no arrival is ever assigned
+            assert (code, obj["error"]) == (1, "RestrictionViolated")
+            return
+        # The b file holds nights 1..steps - k, and its restriction-2 prefix is 1..k.
+        least = max(2, 2 * k + 1)
+        assert (code, obj) == (1, {"error": "SpecInvalid", "message": (
+            f"steps={steps} is too few: the b file holds nights 1..{steps - k}, and classify needs night"
+            f" {max(2, k + 1)}, past its restriction-2 prefix 1..{k} and at least 2;"
+            f" the least steps that works is {least}")})
+        assert steps < least
+        assert _construct(k, least, folder)[0] == 0

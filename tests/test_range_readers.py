@@ -32,6 +32,7 @@ from robinhood import (
     classify,
     empirical_survival,
     load_schedule,
+    run_trace,
     series_diagnostics,
     survival_probability,
 )
@@ -247,7 +248,7 @@ def _thm22_file(path) -> str:
 
 
 def test_kernels_make_a_constant_number_of_checked_calls(monkeypatch, tmp_path) -> None:
-    """Each kernel's checks are per range, not per night: the counts at
+    """Each kernel's checks, and the simulator's, are per range, not per night: the counts at
     horizon 10^4 equal those at horizon 100. Survival runs on r = 1, s = 2,
     b = 0, whose exact product 1/(N + 1) stays small."""
     thm22 = load_schedule(_thm22_file(tmp_path / "thm22.json"))
@@ -257,6 +258,7 @@ def test_kernels_make_a_constant_number_of_checked_calls(monkeypatch, tmp_path) 
         ("series_diagnostics", thm22, series_diagnostics),
         ("classify", thm22, classify),
         ("empirical_survival", harmonic, lambda inst, n: empirical_survival(inst, 3, n, 20, seed=1)),
+        ("run_trace", harmonic, lambda inst, n: run_trace(inst, "oldest-rnd", n, 1, tagged_days=[3, (5, 2)])),
     ]
     for mode, space in MODES:
         survival = lambda inst, n, mode=mode, space=space: survival_probability(inst, 3, n, mode, space)  # noqa: E731
