@@ -165,12 +165,12 @@ def separating_instance(
 ) -> SeparationInstance:
     """Run the construction for ``steps`` removal values.
 
-    Raises RestrictionViolated when b's memory gap can shrink, is provably
-    bounded (``Prop1.1``: Robin then surely wins with memory b) or the
-    widened gap i - c(i) never opens within the budget, ValidityViolated
+    Raises RestrictionViolated when b's memory gap can shrink or is provably
+    bounded (``Prop1.1``: Robin then surely wins with memory b), ValidityViolated
     if any finished index has r(i) >= s(i), LimitExceeded when values
     outgrow the digit budget, and SpecInvalid, naming the least steps that
-    works, when the b file would end before classify could certify it.
+    works, when the b file would end before classify could certify it (it holds
+    no night at all while the widened gap i - c(i) has not opened).
     """
     if steps < 1:
         raise SpecInvalid(f"steps must be >= 1, got {steps}")
@@ -192,11 +192,6 @@ def separating_instance(
     # Nondecreasing gaps follow from the memory restriction just checked.
     if any(gaps[i + 1] < gaps[i] for i in range(1, steps + 1)):
         raise VerificationFailed("window gap i - c(i) shrinks despite the memory restriction")
-    if gaps[steps + 1] < 1:
-        raise RestrictionViolated(
-            f"window gap i - c(i) never opens within {steps} steps;"
-            " no arrival positions would ever be assigned"
-        )
 
     max_bits = budget_bits(digit_budget)
     r_table: list[int] = []
@@ -259,20 +254,17 @@ def separating_instance(
             )
         )
 
-    # classify reads the b file alone, nights 1..len(s_table): Thm2.2 needs a night past
-    # its restriction-2 prefix, and night 2. The prefix ends where a certificate first
-    # clears its quota, the same for every larger steps; the file then ends at night
-    # n - b(n + 1) for n steps.
-    prefix = next((c.i - 1 for c in certificates if c.ltilde_b is not None and c.ltilde_b > c.r), steps)
+    # classify reads the b file alone, nights 1..n - b(n + 1) for n steps: Thm2.2 needs night 2 and
+    # a night past the restriction-2 prefix 1..g - 1, g the first day with b(g) < g (pools before g are
+    # empty; g's holds a cube past all quotas). Gap and file only grow (Restriction 1): both are searched.
+    prefix = _first(lambda i: b_spec.value_at(i) < i, 1) - 1
     need = max(2, prefix + 1)
-    if prefix < steps and len(s_table) < need:
-        least = steps + 1
-        while least - min(b_spec.value_at(least + 1), least) < need:
-            least += 1
+    if len(s_table) < need:
+        least = _first(lambda n: n - min(b_spec.value_at(n + 1), n) >= need, steps + 1)
         raise SpecInvalid(
             f"steps={steps} is too few: the b file holds nights 1..{len(s_table)}, and classify needs"
-            f" night {need}, past its restriction-2 prefix 1..{prefix} and at least 2;"
-            f" the least steps that works is {least}"
+            f" night {_show(need)}, past its restriction-2 prefix 1..{_show(prefix)} and at least 2;"
+            f" the least steps that works is {_show(least)}"
         )
 
     return SeparationInstance(
@@ -283,6 +275,17 @@ def separating_instance(
         steps=steps,
         certificates=tuple(certificates),
     )
+
+
+def _first(holds: Callable[[int], bool], lo: int) -> int:
+    """The least n >= lo where ``holds``, for a test that fails below some n and holds from it on."""
+    hi = lo
+    while not holds(hi):  # gallop, so an astronomical n costs O(log n) tests
+        lo, hi = hi + 1, 2 * hi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
 
 
 def _fail(name: str, i: int, detail: str) -> VerificationFailed:

@@ -36,8 +36,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .errors import SpecInvalid, VerificationFailed
 from .rng import RNG_VERSION, CounterRNG, child_bases_vec, child_key, child_keys_many, child_keys_vec, words_vec
 # Removal records key the very-old pool by VERY_OLD_KEY, as night_cuts does.
@@ -377,11 +375,13 @@ def run_trace(
         removed = _removed_tags(state, strategy, play, CounterRNG(child_key(trial_key, i)) if rnd else None)
         _remove(state, i, removed)
         _, before, after, s_i, cuts, _ = play
-        # The record as canonical_dumps would write it: keys sorted, no whitespace.
-        cells = ",".join([f'[{key},"{decimal_str(take)}"]' for key, _, take in cuts])
+        # The record as canonical_dumps would write it: keys sorted, no whitespace. S(i) bounds
+        # every count, take and position in it, so below decimal_str's 2000 bits all are str.
+        dec = str if s_i.bit_length() <= 2000 else decimal_str
+        cells = ",".join([f'[{key},"{dec(take)}"]' for key, _, take in cuts])
         bags = [state.tagged[bag_id - 1] for bag_id in removed]
-        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{decimal_str(b.pos)}"}}' for b in bags])
-        emit(f'{{"cave_after":"{decimal_str(s_i - after)}","cave_before":"{decimal_str(s_i - before)}",'
+        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{dec(b.pos)}"}}' for b in bags])
+        emit(f'{{"cave_after":"{dec(s_i - after)}","cave_before":"{dec(s_i - before)}",'
              f'"i":{i},"removed_cells":[{cells}],"tagged_events":[{events}]}}')
 
     digest = hasher.hexdigest()
@@ -411,8 +411,8 @@ def empirical_survival(
     its cell, each trial calls ``sample_hypergeom(count, 1, take, rng)``, the
     draw ``run_trace`` makes for a lone tag, and the bag leaves when it
     returns 1. Trials go in chunks of MC_BLOCK_WORDS, each reading only its
-    own streams. Returns (estimate, stderr, trials) with
-    stderr = sqrt(p*(1-p)/trials).
+    own streams. Only ``oldest-rnd`` imports numpy. Returns (estimate, stderr,
+    trials) with stderr = sqrt(p*(1-p)/trials).
     """
     strategy = as_strategy(strategy)
     if trials < 1:
@@ -429,6 +429,7 @@ def empirical_survival(
     if strategy is StrategyKind.OLDEST_DET:
         survivors = trials if (d, 1) > instance.fifo_cut(nights) else 0
     else:
+        import numpy as np  # the one numpy user: other commands start without loading it
         cells = [(i, count, take) for i, (count, take) in enumerate(instance.cells(d, d, nights), d) if take]
         dips = instance.window_dips.first(1, nights) is not None
         if not dips:

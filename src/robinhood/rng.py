@@ -14,7 +14,8 @@ Both maps are pure integer functions of (key, index), so any draw is
 addressable by its path from the master seed, e.g. trial t / night i uses
 key child(child(master, t), i). Everything here is plain modular arithmetic
 on 64-bit words: results are identical across platforms and identical
-between the scalar and the numpy-vectorized paths (asserted in tests).
+between the scalar and the numpy-vectorized paths (asserted in tests). Only
+the vectorized mirrors import numpy, when called, so other code never loads it.
 
 Exact sampling: `CounterRNG.below(n)` draws a uniform integer in [0, n) for
 arbitrary-precision n by rejection on blocks of 64-bit words, so rational
@@ -23,7 +24,10 @@ probabilities with huge denominators can be realized exactly.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_VERSION = "rhrng-v1"
 
@@ -60,20 +64,18 @@ def stream_key(master: int, *path: int) -> int:
 
 
 # numpy mirrors of word and child_key, bit-identical to the scalar versions. Each
-# finalizes a fresh array in place, with one scratch buffer.
-
-_NP_PHI = np.uint64(_PHI)
-_NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_NP_M2 = np.uint64(0x94D049BB133111EB)
+# finalizes a fresh array in place, with one scratch buffer, and imports numpy when
+# called. Constants stay np.uint64, so numpy 1.24's value-based casting keeps uint64.
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """mix64 of every word of the uint64 array z, written into z."""
+    import numpy as np
     t = np.empty_like(z)
-    for shift, mult in ((30, _NP_M1), (27, _NP_M2)):
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, shift, out=t)
         z ^= t
-        z *= mult
+        z *= np.uint64(mult)
     np.right_shift(z, 31, out=t)
     z ^= t
     return z
@@ -81,24 +83,28 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
 
 def words_vec(keys: np.ndarray, n: int) -> np.ndarray:
     """word(key, n) for an array of keys."""
+    import numpy as np
     inc = np.uint64(((n + 1) * _PHI) & _MASK)
     return _mix64_inplace(keys.astype(np.uint64, copy=False) + inc)
 
 
 def child_keys_vec(key: int, ps: np.ndarray) -> np.ndarray:
     """child_key(key, p) for an array of child indices p."""
+    import numpy as np
     return child_keys_many(np.uint64(mix64((key ^ _STREAM_DOMAIN) & _MASK)), ps)
 
 
 def child_bases_vec(keys: np.ndarray) -> np.ndarray:
     """mix64(key ^ STREAM_DOMAIN), the part of child_key(key, p) that p leaves alone."""
+    import numpy as np
     return _mix64_inplace(keys.astype(np.uint64, copy=False) ^ np.uint64(_STREAM_DOMAIN))
 
 
 def child_keys_many(bases: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """child_key(key, p) for child indices p (rows) and the keys whose
     ``child_bases_vec`` are ``bases`` (columns)."""
-    incs = (ps.astype(np.uint64) + np.uint64(1)) * _NP_PHI
+    import numpy as np
+    incs = (ps.astype(np.uint64) + np.uint64(1)) * np.uint64(_PHI)
     return _mix64_inplace(np.add.outer(incs, bases.astype(np.uint64, copy=False)))
 
 

@@ -496,15 +496,20 @@ def test_memory_constant_takes_only_ascii_digits(tmp_path, capsys, tail) -> None
 
 
 def test_memory_constant_past_the_digit_cap_is_an_integer(tmp_path, capsys) -> None:
-    # int() refused 5000 digits as "not an integer"; b clamps to i, as b = 10 does.
+    # int() refused 5000 digits as "not an integer"; b clamps to i, as b = 10 does, so
+    # both b files are empty at 3 steps, and the least steps that works, 2k + 1, is found
+    # by search rather than by running k steps.
     digits = "9" * 5000
     assert cli._parse_memory_spec("constant:" + digits) == FunctionSpec.constant(10**5000 - 1)
-    outcomes = []
-    for b in (digits, "10"):
-        code = dispatch(["construct", "--memory-b", "constant:" + b, "--steps", "3", "-o", str(tmp_path / "x")])
-        outcomes.append((code, capsys.readouterr()))
-    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
-    assert json.loads(outcomes[0][1].err)["error"] == "RestrictionViolated"
+    for k in (10**5000 - 1, 10):
+        code = dispatch(["construct", "--memory-b", f"constant:{decimal_str(k)}", "--steps", "3",
+                         "-o", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert json.loads(captured.err) == {"error": "SpecInvalid", "message": (
+            f"steps=3 is too few: the b file holds nights 1..0, and classify needs night {decimal_str(k + 1)},"
+            f" past its restriction-2 prefix 1..{decimal_str(k)} and at least 2;"
+            f" the least steps that works is {decimal_str(2 * k + 1)}")}
     with pytest.raises(SpecInvalid, match="nonnegative"):
         cli._parse_memory_spec("constant:-" + digits)
     # The negative value is quoted cut to 40 characters, not written out in full.
@@ -570,6 +575,7 @@ def test_a_long_simulate_holds_no_per_night_schedule_state(tmp_path) -> None:
         "from robinhood.cli import dispatch\n"
         "for nights in ('2000', '200000'):\n"
         "    assert dispatch(['simulate', sys.argv[1], '--nights', nights, '--out', sys.argv[2]]) == 0\n"
+        "    assert 'numpy' not in sys.modules\n"
         "    with open('/proc/self/status') as fh:\n"
         "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from robinhood import (
@@ -19,6 +20,7 @@ from robinhood import (
     GameInstance,
     LimitExceeded,
     RestrictionViolated,
+    SeparationInstance,
     SpecInvalid,
     ValidityViolated,
     VerificationFailed,
@@ -273,14 +275,76 @@ def test_construct_refuses_too_few_steps_or_writes_what_it_reports(k, steps) -> 
                 assert classify(inst, inst.horizon_cap).as_dict() == report[f"verdict_{role}"]
             return
         assert os.listdir(folder) == []
-        if steps <= k:  # c = k + 1 covers every day through step k + 1: no arrival is ever assigned
-            assert (code, obj["error"]) == (1, "RestrictionViolated")
-            return
-        # The b file holds nights 1..steps - k, and its restriction-2 prefix is 1..k.
+        # The b file holds nights 1..steps - k (none while c = k + 1 covers every day through
+        # step k + 1), and its restriction-2 prefix is 1..k.
         least = max(2, 2 * k + 1)
         assert (code, obj) == (1, {"error": "SpecInvalid", "message": (
-            f"steps={steps} is too few: the b file holds nights 1..{steps - k}, and classify needs night"
+            f"steps={steps} is too few: the b file holds nights 1..{max(0, steps - k)}, and classify needs night"
             f" {max(2, k + 1)}, past its restriction-2 prefix 1..{k} and at least 2;"
             f" the least steps that works is {least}")})
         assert steps < least
         assert _construct(k, least, folder)[0] == 0
+
+
+def test_steps_before_the_window_opens_name_the_least_steps_that_works() -> None:
+    # With constant memory k, c = k + 1 covers every day through step k + 1, so steps <= k
+    # build an empty b file; they are refused like k < steps <= 2k, naming 2k + 1.
+    for k in range(1, 5):
+        for steps in range(1, 2 * k + 1):
+            with pytest.raises(SpecInvalid) as caught:
+                separating_instance(FunctionSpec.constant(k), steps)
+            assert str(caught.value) == (
+                f"steps={steps} is too few: the b file holds nights 1..{max(0, steps - k)}, and classify"
+                f" needs night {k + 1}, past its restriction-2 prefix 1..{k} and at least 2;"
+                f" the least steps that works is {2 * k + 1}"
+            )
+        assert verify_separation(separating_instance(FunctionSpec.constant(k), 2 * k + 1))["ok"]
+
+
+def test_a_b_file_whose_certificates_all_fail_their_quota_is_refused() -> None:
+    # b = 1, 2, 3, then 2: b first forgets a day at night 4, so the restriction-2 prefix is
+    # 1..3. At 3 steps the b file holds night 1 and no certificate clears its quota; that
+    # run used to be built and then fail verify_separation (exit 2).
+    b = FunctionSpec.table([1, 2, 3], FunctionSpec.constant(2))
+    for steps in range(1, 6):
+        with pytest.raises(SpecInvalid, match=f"^steps={steps} is too few: .* the least steps that works is 6$"):
+            separating_instance(b, steps)
+    assert verify_separation(separating_instance(b, 6))["ok"]
+
+
+@st.composite
+def _restriction1_memories(draw) -> FunctionSpec:
+    """A table of up to 5 values, then a constant, that grows by at most 1 a night."""
+    values = [draw(st.integers(0, 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        values.append(draw(st.integers(0, values[-1] + 1)))
+    return FunctionSpec.table(values, FunctionSpec.constant(draw(st.integers(0, values[-1] + 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=_restriction1_memories(), steps=st.integers(1, 10))
+def test_the_restriction2_prefix_is_the_days_b_never_forgets(b, steps) -> None:
+    # separating_instance names the prefix 1..g - 1, g the first day with b(g) < g, without
+    # reading certificates; where they show it, the first to clear its quota is g's.
+    g = next(i for i in itertools.count(1) if b.value_at(i) < i)
+    try:
+        gen = separating_instance(b, steps)
+    except SpecInvalid as exc:
+        assert f", past its restriction-2 prefix 1..{g - 1} and at least 2;" in str(exc)
+        least = int(str(exc).rsplit(" ", 1)[1])
+        gen = _built_or_rejected(b, least)
+        with pytest.raises(SpecInvalid):
+            separating_instance(b, least - 1)
+    except ValidityViolated:
+        reject()
+    cleared = [c.i for c in gen.certificates if c.ltilde_b is not None and c.ltilde_b > c.r]
+    assert cleared[0] == g
+
+
+def _built_or_rejected(b: FunctionSpec, steps: int) -> SeparationInstance:
+    """``separating_instance(b, steps)``; the example is rejected where the cube recurrence breaks
+    r(i) < s(i), a limit of the construction (a memory whose gap stalls), not of the steps check."""
+    try:
+        return separating_instance(b, steps)
+    except ValidityViolated:
+        reject()

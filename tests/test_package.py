@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import robinhood
 from robinhood import engine, errors, schedule
@@ -101,3 +106,47 @@ def test_only_the_engine_draws_call_below() -> None:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "below"
         }
     assert found == {"engine.py:sample_hypergeom", "engine.py:_choose_uniform_subset"}
+
+
+SRC = str(Path(robinhood.__file__).parent.parent)
+# Run in a fresh interpreter: whether argv (after the script's name) loaded numpy, as "<exit code> <loaded>".
+_LOADS_NUMPY = (
+    "import sys\n"
+    "if sys.argv[1:] == ['import']:\n"
+    "    import robinhood\n"
+    "    code = 0\n"
+    "else:\n"
+    "    from robinhood.cli import dispatch\n"
+    "    code = dispatch(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["import"], False),
+        (["validate", "{sched}"], False),
+        (["classify", "{sched}"], False),
+        (["survival", "{sched}", "--day", "1", "--horizon", "50"], False),
+        (["simulate", "{sched}", "--nights", "50", "--tag-day", "1", "--out", "{tmp}/trace.jsonl"], False),
+        (["construct", "--memory-b", "constant:1", "--steps", "3", "-o", "{tmp}/sep"], False),
+        (["simulate", "{sched}", "--nights", "50", "--tag-day", "1", "--trials", "20", "--strategy", "oldest-det"],
+         False),
+        (["simulate", "{sched}", "--nights", "50", "--tag-day", "1", "--trials", "20", "--strategy", "oldest-rnd"],
+         True),
+        (["compare", "{sched}", "--day", "1", "--nights", "50", "--trials", "20"], True),
+    ],
+    ids=["import", "validate", "classify", "survival", "simulate-out", "construct", "trials-det", "trials-rnd",
+         "compare"],
+)
+def test_only_the_vectorized_monte_carlo_draw_loads_numpy(tmp_path, argv, loads) -> None:
+    # numpy costs about 100 ms and 12 MB at import, and only the oldest-rnd Monte
+    # Carlo draw uses it, so every other command starts without it.
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"r": {"kind": "constant", "value": 1}, "s": {"kind": "constant", "value": 3},'
+                     ' "b": {"kind": "constant", "value": 0}}')
+    argv = [arg.format(sched=sched, tmp=tmp_path) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY, *argv], capture_output=True, text=True, env=env)
+    assert proc.stderr.splitlines()[-1] == f"0 {loads}", proc.stderr
