@@ -30,7 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import LimitExceeded, RestrictionViolated, SpecInvalid, VerificationFailed
 from .schedule import GameInstance, bounded_memory_gap, decimal_str
@@ -55,8 +55,8 @@ RULE_NONE = "none"
 SEPARATION_GENERATOR = "separating-instance"
 
 
-def fraction_str(value: Fraction) -> str:
-    return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
+def fraction_str(value: Fraction, text: Callable[[int], str] = decimal_str) -> str:
+    return f"{text(value.numerator)}/{text(value.denominator)}"
 
 
 class RunningSum:
@@ -156,17 +156,38 @@ def _product(xs: list[Any]) -> Any:
     return xs[0] if xs else 1
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime ints num and den > 0, which the caller guarantees:
+    the two slots are set, as Python 3.12's private ``Fraction._from_coprime_ints`` does,
+    without the gcd that ``Fraction`` would run on the pair."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
 def _survival_points(
     instance: GameInstance, d: int, horizon: int, mode: str, space: str
 ) -> Iterator[tuple[int, Fraction | float, float | None]]:
     """(N, value, log_value) for N = d-1, d, ..., horizon, in one pass over the nights."""
     nights = _survival_nights(instance, d, horizon, mode, space)
     if space == SPACE_RATIONAL:
+        # num/den, the product so far, stays coprime: a/b is, and the cross gcds cancel the rest.
+        num = den = 1
         acc = Fraction(1)
         yield d - 1, acc, None
         for i, (count, take) in enumerate(nights, d):
             if take:
-                acc *= Fraction(count - take, count)
+                g = math.gcd(take, count)
+                a, b = (count - take) // g, count // g
+                g = math.gcd(num, b)
+                if g > 1:
+                    num, b = num // g, b // g
+                g = math.gcd(a, den)
+                if g > 1:
+                    a, den = a // g, den // g
+                num = num if a == 1 else num * a  # a factor of 1 shares the int with the last point
+                den = den if b == 1 else den * b
+                acc = _coprime_fraction(num, den)
             yield i, acc, None
         return
 
@@ -187,8 +208,9 @@ def survival_curve(
 ) -> list[SurvivalResult]:
     """Survival results for every truncation N = d-1, d, ..., horizon.
 
-    One pass over the nights, folding the product night by night. The
-    N = d-1 entry is the empty product 1.
+    One pass over the nights. The rational product is a coprime integer pair; each
+    night's reduced factor is cancelled against it by two cross gcds, so no gcd runs
+    on the whole pair. The N = d-1 entry is the empty product 1.
     """
     return [
         SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)

@@ -169,7 +169,9 @@ def _default_horizon(args: argparse.Namespace, instance: GameInstance) -> int:
 def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum; ``validate``
     has checked 1 <= horizon <= horizon_cap. r and Ltilde are the instance's
-    ``terms``; s, the clamped b and L are its ``s_at``, ``b_at`` and ``cave_level``."""
+    ``terms``; s, the clamped b and L are its ``s_at``, ``b_at`` and ``cave_level``.
+    A recurring value (the term's parts are often r and Ltilde) is converted once."""
+    text = functools.lru_cache(maxsize=16)(decimal_str)
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
     partial_sum = RunningSum()
@@ -181,9 +183,9 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
                 partial_sum.add(float(term))
             except OverflowError:
                 raise LimitExceeded(f"term or partial sum of night {i} exceeds the float range") from None
-            term_text = fraction_str(term)
-        writer.writerow([i, decimal_str(r), decimal_str(instance.s_at(i)), instance.b_at(i),
-                         decimal_str(instance.cave_level(i)), decimal_str(ltilde), term_text, repr(partial_sum.value)])
+            term_text = fraction_str(term, text)
+        writer.writerow([i, text(r), text(instance.s_at(i)), instance.b_at(i),
+                         text(instance.cave_level(i)), text(ltilde), term_text, repr(partial_sum.value)])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -175,8 +175,12 @@ def separating_instance(
     if steps < 1:
         raise SpecInvalid(f"steps must be >= 1, got {steps}")
 
-    b_vals = _memory_values(b_spec, steps + 1)
-    for i in range(1, steps + 1):
+    # Restriction 1 breaks, if anywhere, by night t + 1 for t table values (a tail a * i + c keeps
+    # it for a <= 1, and for a >= 2 breaks it at once or never), so every steps is refused alike.
+    prefix, closed = b_spec.flat
+    through = steps if closed is None else max(steps, len(prefix) + 1)
+    b_vals = _memory_values(b_spec, through + 1)
+    for i in range(1, through + 1):
         if b_vals[i + 1] > b_vals[i] + 1:
             raise RestrictionViolated(
                 f"memory bound grows too fast at night {i}: b({i + 1}) > b({i}) + 1"

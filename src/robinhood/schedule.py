@@ -36,7 +36,7 @@ import json
 from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, repeat
 from math import isqrt
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -126,11 +126,11 @@ def _require_int(value: Any, path: str) -> int:
     return value
 
 
-def _require_decimal_string(value: Any, path: str) -> int:
+def _require_decimal_string(value: Any, path: str, parse: Callable[[str], int]) -> int:
     if not isinstance(value, str):
         raise SpecInvalid(f"{path}: expected a decimal string, got {value!r}")
     try:
-        return parse_decimal(value)
+        return parse(value)
     except ValueError:
         raise SpecInvalid(f"{path}: not a decimal integer: {value!r}") from None
 
@@ -224,8 +224,9 @@ class FunctionSpec:
         return {"kind": "generated", "values": [text(v) for v in self.values]}
 
 
-def parse_function(obj: Any, path: str) -> FunctionSpec:
-    """Parse one function spec from its JSON form, with field-path errors."""
+def parse_function(obj: Any, path: str, parse: Callable[[str], int] = parse_decimal) -> FunctionSpec:
+    """Parse one function spec from its JSON form, with field-path errors; ``parse``
+    reads each generated value's decimal string."""
     if not isinstance(obj, dict):
         raise SpecInvalid(f"{path}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -258,13 +259,13 @@ def parse_function(obj: Any, path: str) -> FunctionSpec:
         if not isinstance(raw, list):
             raise SpecInvalid(f"{path}.values: expected a list")
         values = [_require_int(v, f"{path}.values[{k}]") for k, v in enumerate(raw)]
-        tail = parse_function(obj["tail"], f"{path}.tail")
+        tail = parse_function(obj["tail"], f"{path}.tail", parse)
         return FunctionSpec.table(values, tail)
     # generated
     raw = obj["values"]
     if not isinstance(raw, list):
         raise SpecInvalid(f"{path}.values: expected a list")
-    values = [_require_decimal_string(v, f"{path}.values[{k}]") for k, v in enumerate(raw)]
+    values = [_require_decimal_string(v, f"{path}.values[{k}]", parse) for k, v in enumerate(raw)]
     return FunctionSpec.generated(values)
 
 
@@ -294,7 +295,8 @@ class ScheduleSpec:
 
 
 def parse_schedule(obj: Any) -> ScheduleSpec:
-    """Parse a full schedule from its JSON form."""
+    """Parse a full schedule from its JSON form. Each distinct decimal string is parsed
+    once: construct's files repeat values (with memory 0, r(i + 1) = s(i) from i = 2 on)."""
     if not isinstance(obj, dict):
         raise SpecInvalid(f"schedule: expected an object, got {type(obj).__name__}")
     extra = set(obj) - {"r", "s", "b", "provenance"}
@@ -306,10 +308,11 @@ def parse_schedule(obj: Any) -> ScheduleSpec:
     provenance = obj.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise SpecInvalid("provenance: expected an object")
+    parse = cache(parse_decimal)
     return ScheduleSpec(
-        r_spec=parse_function(obj["r"], "r"),
-        s_spec=parse_function(obj["s"], "s"),
-        b_spec=parse_function(obj["b"], "b"),
+        r_spec=parse_function(obj["r"], "r", parse),
+        s_spec=parse_function(obj["s"], "s", parse),
+        b_spec=parse_function(obj["b"], "b", parse),
         provenance=provenance,
     )
 

@@ -162,6 +162,48 @@ def test_last_survival_point_equals_the_curves(case, mode, space) -> None:
     assert got == _outcome(lambda: survival_curve(inst, d, horizon, mode=mode, space=space)[-1])
 
 
+@st.composite
+def big_count_cases(draw) -> tuple[GameInstance, int, int]:
+    """Table schedules with batches at 2^64 and above whose quotas take a half, a third,
+    all but one or (sometimes) all of a batch, so factors share primes with the product."""
+    cap = draw(st.integers(1, 16))
+    s = [draw(st.sampled_from([2, 6, 2**64, 2**64 + 1, 3 * 2**64, 10**30])) for _ in range(cap)]
+    r = [draw(st.sampled_from([1, max(1, x // 3), x // 2, x - 1])) for x in s]
+    b = [0]
+    for _ in range(cap - 1):
+        b.append(max(0, b[-1] + draw(st.sampled_from([1, 0, -1]))))
+    inst = make_instance(
+        FunctionSpec.table(r, FunctionSpec.constant(1)),
+        FunctionSpec.table(s, FunctionSpec.constant(2**64)),
+        FunctionSpec.table(b, FunctionSpec.constant(0)),
+        horizon_cap=cap + 40,
+    )
+    d = draw(st.integers(1, cap + 1))
+    return inst, d, draw(st.integers(d - 1, cap + 40))
+
+
+# r = 2^64, s = 2^64 + 1, b = 1: a day-1 bag faces 2^64 of 2^64 + 1 taken, then its whole cell.
+@example((make_instance(2**64, 2**64 + 1, 1, horizon_cap=40), 1, 40))
+@example((make_instance(1, 2, 0, horizon_cap=40), 1, 40))
+@settings(max_examples=100, deadline=None)
+@given(big_count_cases())
+def test_rational_survival_points_are_canonical_fractions(case) -> None:
+    # The fold keeps its product as a coprime pair and builds each point without
+    # Fraction's own normalization: each must be the Fraction that normalization gives.
+    inst, d, horizon = case
+    for mode in (MODE_PAPER, MODE_EXACT):
+        curve = _outcome(lambda: survival_curve(inst, d, horizon, mode=mode))
+        if not isinstance(curve, list):
+            continue
+        for point in curve:
+            v = point.value
+            assert type(v) is Fraction and v.denominator > 0
+            assert math.gcd(v.numerator, v.denominator) == 1
+            plain = Fraction(v.numerator, v.denominator)
+            assert (hash(v), str(v)) == (hash(plain), str(plain))
+        assert curve[-1].value == survival_probability(inst, d, horizon, mode=mode).value
+
+
 def test_a_sure_removal_ends_the_product_at_zero() -> None:
     inst = make_instance(2, 3, 1, horizon_cap=400)
     assert list(inst.cells(1, 1, 2)) == [(3, 2), (1, 1)]

@@ -312,6 +312,43 @@ def test_a_b_file_whose_certificates_all_fail_their_quota_is_refused() -> None:
     assert verify_separation(separating_instance(b, 6))["ok"]
 
 
+def test_a_memory_breaking_restriction1_past_the_steps_is_refused_at_every_steps() -> None:
+    # b = 1, 0, 2, then 0 grows by 2 at night 2. construct used to name 3 as the least
+    # steps at --steps 1, and --steps 3 then broke the restriction.
+    b = FunctionSpec.table([1, 0, 2], FunctionSpec.constant(0))
+    for steps in range(1, 7):
+        with pytest.raises(RestrictionViolated) as caught:
+            separating_instance(b, steps)
+        assert str(caught.value) == "memory bound grows too fast at night 2: b(3) > b(2) + 1"
+
+
+@st.composite
+def _tabled_memories(draw) -> FunctionSpec:
+    """A table of up to 4 values in 0..4, then a nonnegative affine tail of slope 0..3."""
+    values = draw(st.lists(st.integers(0, 4), max_size=4))
+    a = draw(st.integers(0, 3))
+    return FunctionSpec.table(values, FunctionSpec.affine(a, draw(st.integers(-a * (len(values) + 1), 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=_tabled_memories(), steps=st.integers(1, 8))
+def test_restriction1_is_decided_by_the_night_after_the_table(b, steps) -> None:
+    # The first night on which the clamped memory grows by more than 1, found by brute force
+    # over 60 nights, is refused at every steps, before or after it.
+    clamped = [min(b.value_at(i), i) for i in range(1, 62)]
+    first = next((i for i in range(1, 61) if clamped[i] > clamped[i - 1] + 1), None)
+    assert first is None or first <= len(b.flat[0]) + 1
+    try:
+        separating_instance(b, steps)
+    except RestrictionViolated as exc:
+        if first is not None:
+            assert str(exc) == f"memory bound grows too fast at night {first}: b({first + 1}) > b({first}) + 1"
+        return
+    except (SpecInvalid, ValidityViolated):
+        pass
+    assert first is None
+
+
 @st.composite
 def _restriction1_memories(draw) -> FunctionSpec:
     """A table of up to 5 values, then a constant, that grows by at most 1 a night."""
