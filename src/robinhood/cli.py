@@ -237,6 +237,8 @@ class _FileOnFirstWrite:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.out:
+        raise SpecInvalid("--trials writes no trace: drop --out")
     seed = _resolve_seed(args)
     instance = _load_instance(args, max(0, args.nights))  # a negative --nights is refused below, by name
     strategy = as_strategy(args.strategy)

@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from math import isqrt
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -60,6 +60,8 @@ _KINDS = ("constant", "affine", "table", "generated")
 
 #: One night of ``GameInstance.plays``: (cut(i), R(i-1), R(i), S(i), [(key, count, take)], (d, p)).
 Play = tuple[int, int, int, int, list[tuple[int, int, int]], tuple[int, int]]
+#: (a, b, c) for the polynomial (a * i + b) * i + c.
+Quad = tuple[int, int, int]
 
 
 def _to_decimal(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
@@ -399,7 +401,7 @@ class NightRuns:
         return k % 2 == 1 and (k == len(self._edges) or self._edges[k] > hi)
 
 
-def _near_roots(lo: int, hi: int, quads: Iterable[tuple[int, int, int]]) -> list[int]:
+def _near_roots(lo: int, hi: int, quads: Iterable[Quad]) -> list[int]:
     """lo, then every index of [lo, hi] next to a real root of some a*x*x + b*x + c in quads, in order.
 
     A sign test on such a polynomial (q <= 0, q < 0, q > 0) changes value
@@ -439,7 +441,7 @@ def _cell(s_lo: int, s_hi: int, before: int, after: int) -> tuple[int, int]:
     return count, take
 
 
-def _double_sum(closed: tuple[int, int], top: int, total: int) -> tuple[int, int, int]:
+def _double_sum(closed: tuple[int, int], top: int, total: int) -> Quad:
     """(a2, b2, c2) with 2 * F(x) = (a2 * x + b2) * x + c2 for x >= top, where F(top) = total
     and F(x) - F(x - 1) = a * x + c past top, for closed = (a, c)."""
     a, c = closed
@@ -469,8 +471,10 @@ class GameInstance:
     Ltilde(i) < r(i), on which oldest-first removal reaches into the memory
     window. Past P each fact comes from the closed forms: a sign change of a
     linear or quadratic function, located with ``isqrt`` and confirmed at
-    its neighbours, and nights whose cutoff still falls at or below P, of
-    which there are at most P + 1 per piece, evaluated one by one.
+    its neighbours. ``_tail_polys`` is the one place the tail polynomials
+    are built: 2 * r(i) and 2 * Ltilde(i) on each clamp piece, and the
+    nights whose cutoff still falls at or below P, at most P + 1 per piece,
+    which are evaluated one by one.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -509,9 +513,6 @@ class GameInstance:
         sum_r = self._sum_r = [0] * (top + 1)
         first_invalid: int | None = None
         first_break: int | None = None
-        # (i, Ltilde(i) - r(i)) = (i, S(cut(i)) - R(i)) before Ltilde's clamp at zero, on
-        # valid nights; r(i) >= 1 on valid days makes the clamp irrelevant to its sign.
-        margins: list[tuple[int, int]] = []
 
         limit = budget_bits(digit_budget)
         acc_s = 0
@@ -534,8 +535,6 @@ class GameInstance:
                 guard_digits(acc_r, digit_budget, context=f"sum of removals through night {i}")
             sum_s[i] = acc_s
             sum_r[i] = acc_r
-            if first_invalid is None:
-                margins.append((i, sum_s[cut] - acc_r))
 
         # Unread when every index is in the prefix.
         self._quad_s = self._quad_r = (0, 0, 0)
@@ -565,12 +564,20 @@ class GameInstance:
         # The last nights that require_valid and require_playable pass.
         self._playable_through = valid_end if first_break is None else min(valid_end, first_break)
 
-        if top < valid_end:
-            margins += [(i, self._s_sum(self._cut_at(i)) - self._r_sum(i)) for i in self._tail_nights(valid_end)]
+        # Ltilde - r can change sign on any valid prefix night; past the prefix, only on a night
+        # whose cutoff still reads the table or next to a root of its polynomial on a piece.
+        nights: list[Iterable[int]] = [range(1, min(top, valid_end) + 1)]
+        for first, last, m, _, table, r_poly, l_poly in self._tail_polys(top + 1, valid_end):
+            closed = (table.stop, last) if m > 0 else (first, table.start - 1)
+            roots = _near_roots(*closed, [[p - q for p, q in zip(l_poly, r_poly)]])
+            nights += (table, roots) if m > 0 else (roots, table)
         r2_edges: list[int] = []
         dip_edges: list[int] = []
         r2 = dip = False
-        for i, margin in margins:
+        for i in chain.from_iterable(nights):
+            # Ltilde(i) - r(i) = S(cut(i)) - R(i) before Ltilde's clamp at zero, which
+            # r(i) >= 1 on valid nights makes irrelevant to its sign.
+            margin = self._s_sum(self._cut_at(i)) - self._r_sum(i)
             if (margin <= 0) is not r2:
                 r2 = not r2
                 r2_edges.append(i)
@@ -596,16 +603,6 @@ class GameInstance:
                 pieces.append((i, m, k))
         return tuple(reversed(pieces))
 
-    def _spans(self, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
-        """(first, last, m, k): the clamp pieces cut to [lo, hi], in increasing order."""
-        spans, end = [], self.horizon_cap
-        for start, m, k in self._pieces:
-            first, last = max(lo, start), min(hi, end)
-            if first <= last:
-                spans.append((first, last, m, k))
-            end = start - 1
-        return spans[::-1]
-
     def _guard_tail(self, limit: int, digit_budget: int) -> None:
         """Raise LimitExceeded at the first index past the prefix where |S| or |R| has more than
         ``limit`` bits, checking S, then R, as a per-index loop would; nothing if there is none."""
@@ -620,31 +617,31 @@ class GameInstance:
             guard_digits(self._s_sum(x), digit_budget, context=f"sum of arrivals through day {x}")
             guard_digits(self._r_sum(x), digit_budget, context=f"sum of removals through night {x}")
 
-    def _tail_nights(self, last: int) -> list[int]:
-        """The nights past the prefix, up to last, at which S(cut(i)) - R(i) is evaluated to find
-        its sign changes: every one whose cutoff is at or below the prefix's end, and the nights
-        next to a root of the quadratic 2 * (S(cut(i)) - R(i)) on each clamp piece."""
+    def _tail_polys(self, lo: int, hi: int) -> list[tuple[int, int, int, int, range, Quad, Quad]]:
+        """(first, last, m, k, table, r2, l2): the clamp pieces cut to [lo, hi], top < lo, in increasing
+        order, with cut(i) = m * i + k on nights first..last. ``table`` is the nights whose cutoff is
+        still at or below the prefix's end P, at most P + 1 of them: at the start of the piece when
+        m > 0, at its end when m < 0, none when m = 0. On every other night 2 * r(i) and 2 * Ltilde(i)
+        before its clamp, 2 * (S(cut(i)) - R(i - 1)), are (a * i + b) * i + c for (a, b, c) = r2 and l2.
+        The one place S(cut(i)) and R are composed on a piece."""
         top = self._top
-        nights: list[int] = []
         a_s, b_s, c_s = self._quad_s
         a_r, b_r, c_r = self._quad_r
-        for first, end, m, k in self._spans(top + 1, last):
-            if m == 0:
-                table, closed = range(0), (first, end)
-                quad = (-a_r, -b_r, 2 * self._s_sum(k) - c_r)
-            else:
-                # The nights whose cutoff m * i + k is at or below top read the table: at most
-                # top + 1 of them, at the start of the span when m > 0, at its end when m < 0.
-                if m > 0:
-                    last_table = (top - k) // m
-                    table, closed = range(first, min(end, last_table) + 1), (max(first, last_table + 1), end)
-                else:
-                    first_table = -((k - top) // m)  # ceil((top - k) / m)
-                    table, closed = range(max(first, first_table), end + 1), (first, min(end, first_table - 1))
-                quad = (a_s * m * m - a_r, (2 * a_s * k + b_s) * m - b_r, (a_s * k + b_s) * k + c_s - c_r)
-            nights += table
-            nights += _near_roots(*closed, (quad,))
-        return sorted(nights)
+        r2 = (0, 2 * a_r, b_r - a_r)  # 2R(i) - 2R(i - 1)
+        polys, end = [], self.horizon_cap
+        for start, m, k in self._pieces:
+            first, last, end = max(lo, start), min(hi, end), start - 1
+            if first > last:
+                continue
+            # The first night whose cutoff passes top when m > 0, the first at or below it when m < 0.
+            split = (top - k) // m + 1 if m > 0 else -((k - top) // m) if m < 0 else last + 1
+            split = min(max(split, first), last + 1)
+            table = range(first, split) if m > 0 else range(split, last + 1)
+            # 2S(m * i + k) with S's quadratic, or the constant 2S(k), which may fall in the table.
+            s2 = (a_s * m * m, (2 * a_s * k + b_s) * m, (a_s * k + b_s) * k + c_s) if m else (0, 0, 2 * self._s_sum(k))
+            l2 = (s2[0] - a_r, s2[1] - b_r + 2 * a_r, s2[2] - a_r + b_r - c_r)  # minus 2R(i - 1)
+            polys.append((first, last, m, k, table, r2, l2))
+        return polys[::-1]
 
     def _s_sum(self, x: int) -> int:
         """S(x), arrivals on days 1..x, for 0 <= x <= horizon_cap."""
@@ -704,7 +701,7 @@ class GameInstance:
         a_r, b_r, _ = self._quad_r
         after = self._r_sum(lo - 1)
         r = (a_r * (2 * lo - 1) + b_r) >> 1  # r(lo) = R(lo) - R(lo - 1), then + a_r a night
-        for first, last, m, k in self._spans(lo, hi):
+        for first, last, m, k, *_ in self._tail_polys(lo, hi):
             x = m * first + k
             for _ in range(first, last + 1):
                 after += r
@@ -879,7 +876,7 @@ class GameInstance:
         """(min, max) of the cutoff i - b(i) over 1 <= i <= horizon: the stored prefix,
         then the ends of each affine clamp piece."""
         self.check_horizon(horizon)
-        gaps = [m * x + k for first, last, m, k in self._spans(self._top + 1, horizon) for x in (first, last)]
+        gaps = [m * x + k for first, last, m, k, *_ in self._tail_polys(self._top + 1, horizon) for x in (first, last)]
         stored = self._cut[1 : min(horizon, self._top) + 1]
         if stored:
             gaps += (min(stored), max(stored))

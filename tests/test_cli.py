@@ -289,6 +289,16 @@ def test_simulate_trials_requires_one_tag_day(sched, capsys) -> None:
     }
 
 
+def test_simulate_trials_refuses_out_before_reading_the_schedule(tmp_path, capsys) -> None:
+    # An estimate writes no trace, so --out would name a file that is never written; this schedule does not exist.
+    out_path = tmp_path / "x.jsonl"
+    argv = ["simulate", str(tmp_path / "missing.json"), "--nights", "3", "--trials", "5", "--tag-day", "1"]
+    assert dispatch([*argv, "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert json.loads(captured.err) == {"error": "SpecInvalid", "message": "--trials writes no trace: drop --out"}
+
+
 def test_simulate_trials_refuses_a_bag_after_the_last_night(sched, capsys) -> None:
     # As survival refuses --horizon below --day - 1; a bag of day nights + 1 still survives with certainty.
     code = dispatch(["simulate", sched, "--nights", "5", "--trials", "3", "--tag-day", "9"])

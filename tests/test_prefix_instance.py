@@ -124,6 +124,41 @@ def test_prefix_instance_matches_the_materialized_reference(r, s, b, cap, budget
     _assert_same_instance(ScheduleSpec(r_spec=r, s_spec=s, b_spec=b), cap, budget)
 
 
+@settings(max_examples=150, deadline=None)
+@given(r=_R, s=_S, b=_B, cap=st.integers(0, 3000), data=st.data())
+# b = 3 past a five-entry table: cut(i) = i - 3, so nights 6..8 still read the table (m > 0).
+@example(r=FunctionSpec.constant(1), s=FunctionSpec.constant(3),
+         b=FunctionSpec.table([0] * 5, FunctionSpec.constant(3)), cap=60, data=None)
+# b = 3i - 82 past the same table: cut(i) = 82 - 2i on 28..41, at or below 5 from night 39 on (m < 0).
+@example(r=FunctionSpec.constant(1), s=FunctionSpec.constant(3),
+         b=FunctionSpec.table([0] * 5, FunctionSpec.affine(3, -82)), cap=60, data=None)
+def test_tail_polys_match_the_materialized_reference(r, s, b, cap, data) -> None:
+    spec = ScheduleSpec(r_spec=r, s_spec=s, b_spec=b)
+    try:
+        inst = GameInstance(spec, horizon_cap=cap)
+    except RobinHoodError:
+        return
+    ref, top = MaterializedInstance(spec, horizon_cap=cap), inst._top
+    lo, hi = top + 1, cap
+    if data is not None and lo <= hi:
+        lo = data.draw(st.integers(lo, hi), label="lo")
+        hi = data.draw(st.integers(lo - 1, hi), label="hi")
+    pieces = inst._tail_polys(lo, hi)
+    # The pieces cover lo..hi in increasing order.
+    assert [i for first, last, *_ in pieces for i in range(first, last + 1)] == list(range(lo, hi + 1))
+    for first, last, m, k, table, r2, l2 in pieces:
+        cuts = [ref._cut[i] for i in range(first, last + 1)]
+        assert [m * i + k for i in range(first, last + 1)] == cuts
+        assert list(table) == ([] if m == 0 else [i for i, cut in enumerate(cuts, first) if cut <= top])
+        assert len(table) <= top + 1
+        for i in range(first, last + 1):
+            if i in table:
+                continue
+            before = ref._sum_r[i - 1]
+            assert (r2[0] * i + r2[1]) * i + r2[2] == 2 * (ref._sum_r[i] - before), ("r", i)
+            assert (l2[0] * i + l2[1]) * i + l2[2] == 2 * (ref._sum_s[ref._cut[i]] - before), ("Ltilde", i)
+
+
 def test_generated_specs_are_all_prefix() -> None:
     r = FunctionSpec.generated([1, 1, 2, 1])
     s = FunctionSpec.generated([2, 5, 3, 9])
