@@ -30,7 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LimitExceeded, RestrictionViolated, SpecInvalid, VerificationFailed
 from .schedule import GameInstance, bounded_memory_gap, decimal_str
@@ -87,8 +87,7 @@ class RunningSum:
         self.value = self._num / self._den
 
 
-@dataclass(frozen=True)
-class SurvivalResult:
+class SurvivalResult(NamedTuple):
     """Survival probability of a day-``day`` bag through night ``horizon``."""
 
     day: int
@@ -108,6 +107,9 @@ class SurvivalResult:
             # Canonical JSON has no -inf; write it as compare writes a non-finite z.
             "log_value": "-inf" if self.log_value == -math.inf else self.log_value,
         }
+
+
+_make_result = SurvivalResult._make
 
 
 def _survival_nights(
@@ -206,14 +208,12 @@ def survival_curve(
     mode: str = MODE_PAPER,
     space: str = SPACE_RATIONAL,
 ) -> list[SurvivalResult]:
-    """Survival results for every truncation N = d-1, d, ..., horizon.
-
-    One pass over the nights. The rational product is a coprime integer pair; each
-    night's reduced factor is cancelled against it by two cross gcds, so no gcd runs
-    on the whole pair. The N = d-1 entry is the empty product 1.
-    """
+    """Survival results for every truncation N = d-1, d, ..., horizon; the N = d-1 entry is the
+    empty product 1. One pass over the nights: the rational product is a coprime integer pair, each
+    night's reduced factor cancelled against it by two cross gcds, so no gcd runs on the whole pair.
+    Each point comes from ``SurvivalResult._make``, bound once at import, on a plain tuple."""
     return [
-        SurvivalResult(day=d, horizon=n, mode=mode, space=space, value=value, log_value=log_value)
+        _make_result((d, n, mode, space, value, log_value))
         for n, value, log_value in _survival_points(instance, d, horizon, mode, space)
     ]
 

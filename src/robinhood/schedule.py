@@ -471,10 +471,10 @@ class GameInstance:
     Ltilde(i) < r(i), on which oldest-first removal reaches into the memory
     window. Past P each fact comes from the closed forms: a sign change of a
     linear or quadratic function, located with ``isqrt`` and confirmed at
-    its neighbours. ``_tail_polys`` is the one place the tail polynomials
-    are built: 2 * r(i) and 2 * Ltilde(i) on each clamp piece, and the
-    nights whose cutoff still falls at or below P, at most P + 1 per piece,
-    which are evaluated one by one.
+    its neighbours. ``_clamp_pieces`` builds the tail polynomials once, and
+    ``_tail_polys`` is their one reader: 2 * r(i) and 2 * Ltilde(i) on each
+    clamp piece, and the nights whose cutoff still falls at or below P, at
+    most P + 1 per piece, which are evaluated one by one.
 
     A value-level validity violation (r(i) < 1, r(i) >= s(i), or a negative
     raw memory bound) does not fail construction; instead
@@ -555,7 +555,7 @@ class GameInstance:
                 )
             if first_break is None:
                 # The cutoff is affine on each piece: it can first decrease at a piece's start or next index.
-                steps = sorted({start + k for start, _, _ in self._pieces for k in (0, 1) if start + k <= cap})
+                steps = sorted({start + k for start, *_ in self._pieces for k in (0, 1) if start + k <= cap})
                 first_break = next((i - 1 for i in steps if self._cut_at(i) < self._cut_at(i - 1)), None)
 
         self.first_invalid_index = first_invalid
@@ -591,17 +591,29 @@ class GameInstance:
         self.restriction2_violations = NightRuns(r2_edges)
         self.window_dips = NightRuns(dip_edges)
 
-    def _clamp_pieces(self, ab: int, cb: int) -> tuple[tuple[int, int, int], ...]:
-        """(start, m, k), the latest start first: cut(i) = m * i + k from start up to the next
-        piece's start, for i past the prefix, where b(i) = ab * i + cb."""
-        pieces: list[tuple[int, int, int]] = []
+    def _clamp_pieces(self, ab: int, cb: int) -> tuple[tuple[int, int, int, int, int, Quad, Quad], ...]:
+        """(start, m, k, end, split, r2, l2), latest start first, for b(i) = ab * i + cb: cut(i) = m * i + k
+        on nights start..end past the prefix; split is the first night whose cutoff passes P when m > 0, the
+        first at or below it when m < 0, else end + 1. The one place S(cut(i)) and R compose on a piece."""
+        top, starts = self._top, []
         # The clamp's branch changes only where b(i) or b(i) - i changes sign.
-        for i in _near_roots(self._top + 1, self.horizon_cap, ((0, ab, cb), (0, ab - 1, cb))):
+        for i in _near_roots(top + 1, self.horizon_cap, ((0, ab, cb), (0, ab - 1, cb))):
             b = ab * i + cb
             m, k = (1, 0) if b < 0 else (0, 0) if b > i else (1 - ab, -cb)
-            if not pieces or pieces[-1][1:] != (m, k):
-                pieces.append((i, m, k))
-        return tuple(reversed(pieces))
+            if not starts or starts[-1][1:] != (m, k):
+                starts.append((i, m, k))
+        a_s, b_s, c_s = self._quad_s
+        a_r, b_r, c_r = self._quad_r
+        r2 = (0, 2 * a_r, b_r - a_r)  # 2R(i) - 2R(i - 1)
+        pieces, end = [], self.horizon_cap
+        for start, m, k in reversed(starts):
+            split = (top - k) // m + 1 if m > 0 else -((k - top) // m) if m < 0 else end + 1
+            # 2S(m * i + k) with S's quadratic, or the constant 2S(k), which may fall in the table.
+            s2 = (a_s * m * m, (2 * a_s * k + b_s) * m, (a_s * k + b_s) * k + c_s) if m else (0, 0, 2 * self._s_sum(k))
+            l2 = (s2[0] - a_r, s2[1] - b_r + 2 * a_r, s2[2] - a_r + b_r - c_r)  # minus 2R(i - 1)
+            pieces.append((start, m, k, end, split, r2, l2))
+            end = start - 1
+        return tuple(pieces)
 
     def _guard_tail(self, limit: int, digit_budget: int) -> None:
         """Raise LimitExceeded at the first index past the prefix where |S| or |R| has more than
@@ -622,26 +634,14 @@ class GameInstance:
         order, with cut(i) = m * i + k on nights first..last. ``table`` is the nights whose cutoff is
         still at or below the prefix's end P, at most P + 1 of them: at the start of the piece when
         m > 0, at its end when m < 0, none when m = 0. On every other night 2 * r(i) and 2 * Ltilde(i)
-        before its clamp, 2 * (S(cut(i)) - R(i - 1)), are (a * i + b) * i + c for (a, b, c) = r2 and l2.
-        The one place S(cut(i)) and R are composed on a piece."""
-        top = self._top
-        a_s, b_s, c_s = self._quad_s
-        a_r, b_r, c_r = self._quad_r
-        r2 = (0, 2 * a_r, b_r - a_r)  # 2R(i) - 2R(i - 1)
-        polys, end = [], self.horizon_cap
-        for start, m, k in self._pieces:
-            first, last, end = max(lo, start), min(hi, end), start - 1
-            if first > last:
-                continue
-            # The first night whose cutoff passes top when m > 0, the first at or below it when m < 0.
-            split = (top - k) // m + 1 if m > 0 else -((k - top) // m) if m < 0 else last + 1
-            split = min(max(split, first), last + 1)
-            table = range(first, split) if m > 0 else range(split, last + 1)
-            # 2S(m * i + k) with S's quadratic, or the constant 2S(k), which may fall in the table.
-            s2 = (a_s * m * m, (2 * a_s * k + b_s) * m, (a_s * k + b_s) * k + c_s) if m else (0, 0, 2 * self._s_sum(k))
-            l2 = (s2[0] - a_r, s2[1] - b_r + 2 * a_r, s2[2] - a_r + b_r - c_r)  # minus 2R(i - 1)
-            polys.append((first, last, m, k, table, r2, l2))
-        return polys[::-1]
+        before its clamp, 2 * (S(cut(i)) - R(i - 1)), are (a * i + b) * i + c for (a, b, c) = r2 and l2."""
+        polys = []
+        for start, m, k, end, split, r2, l2 in reversed(self._pieces):
+            first, last = lo if lo > start else start, hi if hi < end else end
+            if first <= last:
+                split = first if split < first else last + 1 if split > last else split
+                polys.append((first, last, m, k, range(first, split) if m > 0 else range(split, last + 1), r2, l2))
+        return polys
 
     def _s_sum(self, x: int) -> int:
         """S(x), arrivals on days 1..x, for 0 <= x <= horizon_cap."""
@@ -661,7 +661,7 @@ class GameInstance:
         """cut(i) = i - b(i), b clamped to [0, i], for 0 <= i <= horizon_cap."""
         if i <= self._top:
             return self._cut[i]
-        for start, m, k in self._pieces:  # the earliest piece starts at top + 1
+        for start, m, k, _, _, _, _ in self._pieces:  # the earliest piece starts at top + 1
             if i >= start:
                 break
         return m * i + k

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from robinhood import (
     RestrictionViolated,
     RobinHoodError,
     SpecInvalid,
+    SurvivalResult,
     VerificationFailed,
     classify,
     separating_instance,
@@ -119,6 +122,42 @@ def test_survival_probability_keeps_only_the_last_point(memoryless_121, monkeypa
         result = survival_probability(memoryless_121, d, horizon, mode=mode, space=space)
         assert made == [horizon]
         assert result == survival_curve(memoryless_121, d, horizon, mode=mode, space=space)[-1]
+
+
+@pytest.mark.parametrize("mode", [MODE_PAPER, MODE_EXACT])
+@pytest.mark.parametrize("space", [SPACE_RATIONAL, SPACE_LOG])
+def test_survival_results_are_immutable_named_tuples(mode, space) -> None:
+    assert SurvivalResult._fields == ("day", "horizon", "mode", "space", "value", "log_value")
+    inst = make_instance(1, 3, 0, horizon_cap=50)  # Ltilde(i) = 2i + 1: the pool keeps the quota covered
+    curve = survival_curve(inst, 2, 50, mode=mode, space=space)
+    assert all(type(point) is SurvivalResult for point in curve)
+    assert curve[-1] == survival_probability(inst, 2, 50, mode=mode, space=space)
+    point = curve[1]
+    with pytest.raises(AttributeError):
+        point.value = 0  # type: ignore[misc]
+    for twin in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+        assert type(twin) is SurvivalResult and twin == point and hash(twin) == hash(point)
+    # A tuple of the same fields: unpacking, indexing and equality with a plain tuple.
+    day, horizon, *_, value, log_value = point
+    assert (day, horizon, point[2], point[3]) == (2, 2, mode, space) and point == tuple(point)
+    assert sorted(curve) == curve and curve[0] < curve[-1]  # same day, mode and space: ordered by horizon
+    assert (value, log_value) == ((Fraction(4, 5), None) if space == SPACE_RATIONAL else (0.8, math.log1p(-0.2)))
+
+
+def test_survival_result_dicts_and_reprs_are_pinned() -> None:
+    inst = make_instance(2, 3, 1, horizon_cap=40)  # a day-1 bag: 2 of 3 taken, then its whole cell
+    rational = survival_curve(inst, 1, 1, mode=MODE_EXACT)[-1]
+    assert rational.as_dict() == {
+        "day": 1, "horizon": 1, "mode": MODE_EXACT, "space": SPACE_RATIONAL, "value": "1/3", "log_value": None,
+    }
+    assert repr(rational) == (
+        "SurvivalResult(day=1, horizon=1, mode='exact_strategy', space='rational', value=Fraction(1, 3), log_value=None)"
+    )
+    log = survival_curve(inst, 1, 2, mode=MODE_EXACT, space=SPACE_LOG)[-1]
+    assert log.as_dict() == {
+        "day": 1, "horizon": 2, "mode": MODE_EXACT, "space": SPACE_LOG, "value": 0.0, "log_value": "-inf",
+    }
+    assert repr(log) == "SurvivalResult(day=1, horizon=2, mode='exact_strategy', space='log', value=0.0, log_value=-inf)"
 
 
 @st.composite

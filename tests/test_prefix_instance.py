@@ -159,6 +159,23 @@ def test_tail_polys_match_the_materialized_reference(r, s, b, cap, data) -> None
             assert (l2[0] * i + l2[1]) * i + l2[2] == 2 * (ref._sum_s[ref._cut[i]] - before), ("Ltilde", i)
 
 
+def test_tail_polys_clip_the_stored_pieces_to_every_window() -> None:
+    # The pieces are built once, unclipped; every read clips them. cut(i) = i - 3 past a five-entry
+    # table has table nights 6..8; cut(i) = 82 - 2i on 28..41 has them from night 39 on.
+    for tail in (FunctionSpec.constant(3), FunctionSpec.affine(3, -82)):
+        inst = GameInstance(make_spec(1, 3, FunctionSpec.table([0] * 5, tail)), horizon_cap=60)
+        whole = inst._tail_polys(6, 60)
+        for lo in range(6, 61):
+            for hi in range(lo - 1, 61):
+                want = [(max(lo, f), min(hi, last), m, k, [i for i in t if lo <= i <= hi], r2, l2)
+                        for f, last, m, k, t, r2, l2 in whole if max(lo, f) <= min(hi, last)]
+                got = inst._tail_polys(lo, hi)
+                assert [(f, last, m, k, list(t), r2, l2) for f, last, m, k, t, r2, l2 in got] == want, (lo, hi)
+                # The margin pass reads the closed nights next to the table, so an empty one keeps its edge.
+                for f, last, m, _, t, _, _ in got:
+                    assert f <= t.start <= t.stop <= last + 1 and (t.start == f if m > 0 else t.stop == last + 1)
+
+
 def test_generated_specs_are_all_prefix() -> None:
     r = FunctionSpec.generated([1, 1, 2, 1])
     s = FunctionSpec.generated([2, 5, 3, 9])

@@ -34,6 +34,7 @@ from robinhood import (
     load_schedule,
     run_trace,
     series_diagnostics,
+    survival_curve,
     survival_probability,
 )
 from robinhood.analysis import RULE_CONVERGENT, _survival_points
@@ -207,6 +208,27 @@ def test_streamed_kernels_equal_their_per_night_loops(inst, data) -> None:
         _assert_same_outcome(
             _outcome(lambda: list(_survival_points(inst, d, horizon, mode, space))),
             _ref_outcome(lambda: list(ref_survival_points(inst, d, horizon, mode, space))),
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=kernel_instances(), data=st.data())
+@example(inst=make_instance(1, HUGE, 0, horizon_cap=12), data=None)
+def test_survival_curve_results_equal_the_per_night_loop(inst, data) -> None:
+    # The points survival_curve builds, not only the fold under them, against the per-night loop.
+    # Days reach past both ends, and invalid days and thin pools raise, so errors must match too.
+    cap = inst.horizon_cap
+    horizon = cap if data is None else data.draw(st.integers(0, cap), label="horizon")
+    d = 1 if data is None else data.draw(st.integers(0, horizon + 2), label="d")
+    for mode, space in MODES:
+
+        def points():
+            curve = survival_curve(inst, d, horizon, mode=mode, space=space)
+            assert {(p.day, p.mode, p.space) for p in curve} == {(d, mode, space)}
+            return [(p.horizon, p.value, p.log_value) for p in curve]
+
+        _assert_same_outcome(
+            _outcome(points), _ref_outcome(lambda: list(ref_survival_points(inst, d, horizon, mode, space)))
         )
 
 
