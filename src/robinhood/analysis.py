@@ -30,10 +30,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, starmap
+from operator import truediv
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LimitExceeded, RestrictionViolated, SpecInvalid, VerificationFailed
-from .schedule import GameInstance, bounded_memory_gap, decimal_str
+from .schedule import GameInstance, _value, bounded_memory_gap, decimal_str
 
 MODE_PAPER = "paper_product"
 MODE_EXACT = "exact_strategy"
@@ -270,39 +272,68 @@ class SeriesDiagnostics:
 
 
 def series_diagnostics(instance: GameInstance, horizon: int) -> SeriesDiagnostics:
-    """Partial sum, last term, and a log-log decay-slope estimate."""
+    """Partial sum, last term, and a log-log decay-slope estimate, over ``GameInstance._runs``.
+
+    A closed run with an empty very-old pool is skipped whole. A closed run whose
+    every term is a positive finite float, by bounds at its ends, streams its terms
+    into the one ``math.fsum`` through C-level iterators; every other night is
+    walked. The slope's candidates are picked by index arithmetic over the runs
+    and read as points. Int true division is correctly rounded and ``fsum`` is
+    exact, so every field is what a walk over every night gives.
+    """
     instance.check_horizon(horizon)
-    floats = array("d")
-    # Positive terms in the last decade of indices: the slope's candidates.
+    # Positive terms in the last decade of indices: the slope's candidates, as runs of nights.
     low = max(2, horizon // 10)
-    xs, ys = array("q"), array("d")
+    floats: list[Iterable[float]] = []
+    picks: list[Sequence[int]] = []
     last: tuple[int, int] | None = None
     first_undefined: int | None = None
     # The valid prefix first: a term too large for a float raises before a later invalid day.
-    for i, (r, ltilde) in enumerate(instance.terms(1, instance.valid_end(horizon)), 1):
-        if ltilde == 0:
-            if first_undefined is None:
-                first_undefined = i
-            continue
-        last = (r, ltilde)
-        # Int true division is correctly rounded: float(Fraction(r, ltilde)).
-        try:
-            value = r / ltilde
-        except OverflowError:
-            raise LimitExceeded(f"term r({i})/Ltilde({i}) of night {i} exceeds the float range") from None
-        floats.append(value)
-        if value > 0.0 and i >= low:
-            xs.append(i)
-            ys.append(value)
+    for p, q, r2, l2, terms in instance._runs(1, instance.valid_end(horizon)):
+        if l2 is not None:
+            if _value(l2, p) <= 0:
+                first_undefined = p if first_undefined is None else first_undefined
+                continue
+            ends = _value(r2, p), _value(r2, q)
+            a, b, c = l2
+            # With l2 <= (|a| q + |b|) q + |c| on the run, each term r2/l2 is at least 2**-1074
+            # when r2 > l2 >> 1074, and below 2**1023 when r2 < 2**1024, as l2 >= 2.
+            if min(ends) > ((abs(a) * q + abs(b)) * q + abs(c)) >> 1074 and max(ends) >> 1024 == 0:
+                floats.append(starmap(truediv, terms))
+                picks.append(range(max(p, low), q + 1))
+                last = ends[1], _value(l2, q)
+                continue
+        run, nights = array("d"), array("q")
+        for i, (r, ltilde) in enumerate(terms, p):
+            if ltilde == 0:
+                if first_undefined is None:
+                    first_undefined = i
+                continue
+            last = (r, ltilde)
+            # Int true division is correctly rounded: float(Fraction(r, ltilde)).
+            try:
+                value = r / ltilde
+            except OverflowError:
+                raise LimitExceeded(f"term r({i})/Ltilde({i}) of night {i} exceeds the float range") from None
+            run.append(value)
+            if value > 0.0 and i >= low:
+                nights.append(i)
+        floats.append(run)
+        picks.append(nights)
     instance.require_valid(1, horizon)
     try:
-        partial_sum = math.fsum(floats)
+        partial_sum = math.fsum(chain.from_iterable(floats))
     except OverflowError:
         raise LimitExceeded(f"partial sum of the terms through night {horizon} exceeds the float range") from None
 
-    # Slope of log(term) against log(i), on at most 64 strided candidates.
-    stride = len(xs) // 64 + 1 if len(xs) > 64 else 1
-    window = [(math.log(i), math.log(v)) for i, v in zip(xs[::stride], ys[::stride])]
+    # Slope of log(term) against log(i), on at most 64 strided candidates, each read as a point.
+    total = sum(map(len, picks))
+    stride = total // 64 + 1 if total > 64 else 1
+    window: list[tuple[float, float]] = []
+    skip = 0  # the first pick of the next run, counted from its start
+    for nights in picks:
+        window += [(math.log(i), math.log(instance._term_at(i))) for i in nights[skip::stride]]
+        skip = (skip - len(nights)) % stride
     slope: float | None = None
     if len(window) >= 2 and window[0][0] != window[-1][0]:
         xbar = math.fsum(x for x, _ in window) / len(window)

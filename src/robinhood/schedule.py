@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, pairwise, repeat
 from math import isqrt
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -430,6 +430,12 @@ def _near_roots(lo: int, hi: int, quads: Iterable[Quad]) -> list[int]:
     return sorted(points)
 
 
+def _value(poly: Quad, x: int) -> int:
+    """(a * x + b) * x + c for poly = (a, b, c)."""
+    a, b, c = poly
+    return (a * x + b) * x + c
+
+
 def _cell(s_lo: int, s_hi: int, before: int, after: int) -> tuple[int, int]:
     """(count, take) of the cell of arrival ranks s_lo+1..s_hi on a night that removes ranks
     before+1..after: its ranks still in the cave (> before) and those the night removes."""
@@ -785,6 +791,11 @@ class GameInstance:
         self.require_valid(i, i)
         return self._s_sum(self._cut_at(i)) - self._r_sum(i - 1)
 
+    def _term_at(self, i: int) -> float:
+        """r(i)/Ltilde(i), correctly rounded, on a valid night with Ltilde(i) > 0; nothing is checked."""
+        before = self._r_sum(i - 1)
+        return (self._r_sum(i) - before) / (self._s_sum(self._cut_at(i)) - before)
+
     def fifo_cut(self, i: int) -> tuple[int, int]:
         """(d, p) such that the first r(1) + ... + r(i) arrivals, which FIFO
         removal has taken by the end of night i, are the bags (day, pos) <= (d, p).
@@ -797,19 +808,43 @@ class GameInstance:
         return last + 1, removed - s_last
 
     def terms(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-        """(r(i), Ltilde(i)) for i = lo..hi, as ``r_at`` and ``very_old_level`` give them.
-        The range is checked once, at the call: it raises what the first failing
-        per-night call would raise, and nothing when lo > hi."""
+        """(r(i), Ltilde(i)) for i = lo..hi, as ``r_at`` and ``very_old_level`` give them:
+        the runs of ``_runs``, chained. The range is checked once, at the call: it raises
+        what the first failing per-night call would raise, and nothing when lo > hi."""
         self.require_valid(lo, hi)
+        return chain.from_iterable(run[4] for run in self._runs(lo, hi)) if lo <= hi else iter(())
 
-        def walk() -> Iterator[tuple[int, int]]:
-            before = self._r_sum(lo - 1)
-            for _, s_cut, after in self._nights(lo, hi):
+    def _runs(self, lo: int, hi: int) -> Iterator[tuple[int, int, Quad | None, Quad | None, Iterator[tuple[int, int]]]]:
+        """(p, q, r2, l2, terms) for runs of nights p..q that cover lo..hi (1 <= lo) in order; terms
+        yields (r(i), Ltilde(i)) for i = p..q. The prefix and each piece's ``table`` nights are read
+        through ``_nights``, with r2 = l2 = None. On every other run 2 * r(i) and 2 * Ltilde(i) before
+        its clamp are the piece's polynomials r2 and l2, cut at ``_near_roots`` of l2 so that l2 keeps
+        one sign, and terms zips C-level progressions: r by ``range`` or ``repeat``, and a positive
+        Ltilde by ``accumulate`` of its differences, which step by l2's a."""
+
+        def read(p: int, q: int) -> Iterator[tuple[int, int]]:
+            before = self._r_sum(p - 1)
+            for _, s_cut, after in self._nights(p, q):
                 pool = s_cut - before  # a conditional, not max(): this loop is the hot path
                 yield after - before, pool if pool > 0 else 0
                 before = after
 
-        return walk() if lo <= hi else iter(())
+        def closed(p: int, q: int, r2: Quad, l2: Quad) -> Iterator[tuple[int, int]]:
+            step, r = r2[1] >> 1, _value(r2, p) >> 1
+            rs = range(r, r + step * (q - p + 1), step) if step else repeat(r, q - p + 1)
+            a, b, _ = l2
+            pool = _value(l2, p) >> 1
+            return zip(rs, accumulate(count((a * (2 * p + 1) + b) >> 1, a), initial=pool) if pool > 0 else repeat(0))
+
+        top = self._top
+        if lo <= min(hi, top):
+            yield lo, min(hi, top), None, None, read(lo, min(hi, top))
+        for first, last, m, _, table, r2, l2 in self._tail_polys(max(lo, top + 1), hi):
+            start, stop = (table.stop, last + 1) if m > 0 else (first, table.start)
+            edges = pairwise([*_near_roots(start, stop - 1, [l2]), stop])
+            runs = [(p, q - 1, r2, l2, closed(p, q - 1, r2, l2)) for p, q in edges]
+            tabled = [(table.start, table[-1], None, None, read(table.start, table[-1]))] if table else []
+            yield from tabled + runs if m > 0 else runs + tabled
 
     def cells(self, d: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """(count, take) for nights i = lo..hi: the size of the cell holding a day-d

@@ -8,7 +8,8 @@ range readers and the kernels, what reading a night raises: ``_check_index``
 ``require_valid(lo, hi)`` and ``require_playable(lo, hi)``. These are the
 former helpers, as functions of the instance's public facts; the tests
 check that every reader raises the error class they raise. Their messages
-are the former ones.
+are the former ones, except that ``ref_check_horizon`` words a horizon out
+of range as the package's one range message does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def ref_check_index(inst: GameInstance, i: int, low: int) -> None:
 def ref_check_horizon(inst: GameInstance, horizon: int) -> None:
     """1 <= horizon <= horizon_cap."""
     if not 1 <= horizon <= inst.horizon_cap:
-        raise IndexBeyondHorizon(f"horizon {horizon} outside [1, {inst.horizon_cap}] for this instance")
+        raise IndexBeyondHorizon(f"night {horizon} outside [1, {inst.horizon_cap}] for this instance")
 
 
 def ref_require_valid(inst: GameInstance, i: int) -> None:

@@ -8,8 +8,10 @@ range, and ``cell`` is gone; ``ref_cell`` keeps it. These loops are what the
 tests check the streams and the streamed kernels against, as the count
 cascade was kept for the cell ledger. Their checks are the former ones
 (``tests/per_night_checks.py``), except that ``ref_cell`` reads a night through
-the instance's own per-night check, so that the ``cells`` stream can be
-held to its messages.
+the instance's own per-night check, and both kernels read their horizon through
+``check_horizon``, so that the streams and the kernels can be held to their
+messages, past the horizon too. ``ref_series_diagnostics`` raises a float past
+the float range as the package words it: a term by its night, else the sum.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from robinhood import (
     FunctionSpec,
     GameInstance,
     IndexBeyondHorizon,
+    LimitExceeded,
     RestrictionViolated,
     SeriesDiagnostics,
     SpecInvalid,
 )
 from robinhood.analysis import RunningSum
 
-from .per_night_checks import ref_check_horizon, ref_require_playable, ref_require_valid
+from .per_night_checks import ref_require_playable, ref_require_valid
 
 
 @lru_cache(maxsize=256)
@@ -80,8 +83,7 @@ def ref_survival_points(inst: GameInstance, d: int, horizon: int, mode: str, spa
     if horizon < d:
         yield horizon, Fraction(1) if space == SPACE_RATIONAL else 1.0, 0.0 if space == SPACE_LOG else None
         return
-    if horizon > inst.horizon_cap:
-        raise IndexBeyondHorizon(f"horizon {horizon} beyond instance horizon_cap {inst.horizon_cap}")
+    inst.check_horizon(horizon)
 
     if mode == MODE_PAPER:
         i = inst.restriction2_violations.first(d, horizon)
@@ -123,7 +125,7 @@ def ref_survival_points(inst: GameInstance, d: int, horizon: int, mode: str, spa
 
 def ref_series_diagnostics(inst: GameInstance, horizon: int) -> SeriesDiagnostics:
     """Partial sum, last term and decay slope, one checked call per night."""
-    ref_check_horizon(inst, horizon)
+    inst.check_horizon(horizon)
     floats: list[float] = []
     points: list[tuple[int, float]] = []
     last: tuple[int, int] | None = None
@@ -136,7 +138,10 @@ def ref_series_diagnostics(inst: GameInstance, horizon: int) -> SeriesDiagnostic
             continue
         r = inst.r_at(i)
         last = (r, ltilde)
-        value = r / ltilde
+        try:
+            value = r / ltilde
+        except OverflowError:
+            raise LimitExceeded(f"term r({i})/Ltilde({i}) of night {i} exceeds the float range") from None
         floats.append(value)
         if value > 0.0:
             points.append((i, value))
@@ -154,9 +159,13 @@ def ref_series_diagnostics(inst: GameInstance, horizon: int) -> SeriesDiagnostic
         if sxx > 0.0:
             slope = sxy / sxx
 
+    try:
+        partial_sum = math.fsum(floats)
+    except OverflowError:
+        raise LimitExceeded(f"partial sum of the terms through night {horizon} exceeds the float range") from None
     return SeriesDiagnostics(
         horizon=horizon,
-        partial_sum=math.fsum(floats),
+        partial_sum=partial_sum,
         last_term=Fraction(*last) if last is not None else None,
         term_decay_exponent_estimate=slope,
         first_undefined_index=first_undefined,

@@ -11,6 +11,7 @@ number of checked calls that does not grow with the horizon.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from robinhood import (
     RestrictionViolated,
     RobinHoodError,
     ScheduleSpec,
+    SeriesDiagnostics,
     SpecInvalid,
     classify,
     empirical_survival,
@@ -197,10 +199,10 @@ def _assert_same_outcome(got, want) -> None:
 @example(inst=make_instance(1, HUGE, 0, horizon_cap=12), data=None)
 def test_streamed_kernels_equal_their_per_night_loops(inst, data) -> None:
     cap = inst.horizon_cap
-    horizon = cap if data is None else data.draw(st.integers(1, cap), label="horizon")
+    horizon = cap if data is None else data.draw(st.integers(1, cap + 1), label="horizon")
     d = 1 if data is None else data.draw(st.integers(1, horizon + 1), label="d")
     got = _outcome(series_diagnostics, inst, horizon)
-    _assert_same_outcome(got, _ref_outcome(ref_series_diagnostics, inst, horizon))
+    assert got == _outcome(ref_series_diagnostics, inst, horizon)
     if data is None:
         # 1/(10^400 + ...) rounds to 0.0 on every night: no slope candidates.
         assert got.partial_sum == 0.0 and got.term_decay_exponent_estimate is None
@@ -218,7 +220,7 @@ def test_survival_curve_results_equal_the_per_night_loop(inst, data) -> None:
     # The points survival_curve builds, not only the fold under them, against the per-night loop.
     # Days reach past both ends, and invalid days and thin pools raise, so errors must match too.
     cap = inst.horizon_cap
-    horizon = cap if data is None else data.draw(st.integers(0, cap), label="horizon")
+    horizon = cap if data is None else data.draw(st.integers(0, cap + 1), label="horizon")
     d = 1 if data is None else data.draw(st.integers(0, horizon + 2), label="d")
     for mode, space in MODES:
 
@@ -230,6 +232,64 @@ def test_survival_curve_results_equal_the_per_night_loop(inst, data) -> None:
         _assert_same_outcome(
             _outcome(points), _ref_outcome(lambda: list(ref_survival_points(inst, d, horizon, mode, space)))
         )
+
+
+@st.composite
+def closed_tail_instances(draw) -> GameInstance:
+    """A table prefix of up to 5 days, then affine r, s = r + d and b tails, on up to 400 nights.
+
+    b's slope reaches 2, so some clamp pieces have a constant cutoff, and b can
+    go negative, which makes its days invalid; r = i, d = 1, b = 3 empties the
+    very-old pool on every night. Scaled by 10^400, r gives terms past the
+    float range or huge ones, and d terms that round to 0.0.
+    """
+    unit_r, unit_d = draw(st.sampled_from([(1, 1), (1, 1), (1, 1), (HUGE, 1), (1, HUGE)]))
+    ar = draw(st.integers(0, 2))
+    r = (ar * unit_r, draw(st.integers(1 - ar, 4)) * unit_r)
+    ad = draw(st.integers(0, 2))
+    d = (ad * unit_d, draw(st.integers(1 - ad, 4)) * unit_d)
+    b = (draw(st.sampled_from([0, 0, 0, 0, 1, 2, -1])), draw(st.sampled_from([0, 0, 1, 1, 2, 3, 5, -2])))
+    prefix = draw(st.integers(0, 5))
+    jitter = st.lists(st.integers(-1, 1), min_size=prefix, max_size=prefix)
+    r_values = [max(1, r[0] * i + r[1] + e) for i, e in enumerate(draw(jitter), 1)]
+    s_values = [v + max(1, d[0] * i + d[1] + e) for i, (v, e) in enumerate(zip(r_values, draw(jitter)), 1)]
+    spec = ScheduleSpec(
+        r_spec=FunctionSpec.table(r_values, FunctionSpec.affine(*r)),
+        s_spec=FunctionSpec.table(s_values, FunctionSpec.affine(r[0] + d[0], r[1] + d[1])),
+        b_spec=FunctionSpec.table(draw(st.lists(st.integers(0, 4), max_size=prefix)), FunctionSpec.affine(*b)),
+    )
+    return GameInstance(spec, horizon_cap=prefix + draw(st.integers(1, 395)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=closed_tail_instances(), data=st.data())
+def test_closed_tails_equal_the_per_night_calls(inst, data) -> None:
+    # Nights past the table prefix: the runs that series_diagnostics sums or skips whole, and
+    # that terms zips, against one checked call per night, errors included.
+    cap = inst.horizon_cap
+    horizon = data.draw(st.integers(1, cap + 1), label="horizon")
+    lo = data.draw(st.integers(-1, cap + 2), label="lo")
+    hi = data.draw(st.integers(lo - 1, cap + 3), label="hi")
+    assert _outcome(series_diagnostics, inst, horizon) == _outcome(ref_series_diagnostics, inst, horizon)
+    _assert_same(lambda: inst.terms(lo, hi), _per_night(lambda i: (inst.r_at(i), inst.very_old_level(i)), lo, hi))
+
+
+@pytest.mark.parametrize(
+    "inst, want",
+    [
+        # Ltilde(i) = -i: the pool is empty on every night.
+        (make_instance(FunctionSpec.affine(1, 0), FunctionSpec.affine(1, 1), 3), SeriesDiagnostics(200, 0.0, None, None, 1)),
+        # Ltilde(i) = i - 1 against r(i) = 10^400.
+        (make_instance(HUGE, HUGE + 1, 1), (LimitExceeded, "term r(2)/Ltilde(2) of night 2 exceeds the float range")),
+        # Every term 1/(10^400 i (i + 1)/2 + i + 1) rounds to 0.0: no slope candidates.
+        (
+            make_instance(1, FunctionSpec.affine(HUGE, 2), 0),
+            SeriesDiagnostics(200, 0.0, Fraction(1, HUGE * 100 * 201 + 201), None, None),
+        ),
+    ],
+)
+def test_closed_runs_that_are_empty_past_the_float_range_or_round_to_zero(inst, want) -> None:
+    assert _outcome(series_diagnostics, inst, 200) == want
 
 
 class CheckCounter:

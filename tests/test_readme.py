@@ -78,3 +78,28 @@ def test_every_cli_option_is_in_the_readme() -> None:
     assert len(options) > 10
     missing = sorted(o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", text))
     assert missing == []
+
+
+def test_only_nonempty_pools_keep_classify_from_answering_at_the_far_horizon(tmp_path, capsys) -> None:
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert (
+        "`validate` and `classify` answer at `--horizon 1000000000000`, except for `validate --csv` and"
+        " classify's Undetermined diagnostics on a tail piece whose very-old pool is nonempty, which read"
+        " every night. The diagnostics skip a piece whose pool is empty in one step."
+    ) in text
+    # r = i, s = i + 1, b = 3: Ltilde(i) = -i, an empty pool on every night.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "r": {"kind": "affine", "a": 1, "c": 0},
+        "s": {"kind": "affine", "a": 1, "c": 1},
+        "b": {"kind": "constant", "value": 3},
+    }), encoding="utf-8")
+    assert dispatch(["classify", str(path), "--horizon", "1000000000000"]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostics == {
+        "first_undefined_index": 1,
+        "horizon": 10**12,
+        "last_term": None,
+        "partial_sum": 0.0,
+        "term_decay_exponent_estimate": None,
+    }
