@@ -168,14 +168,16 @@ def _default_horizon(args: argparse.Namespace, instance: GameInstance) -> int:
 
 def _write_index_csv(instance: GameInstance, horizon: int) -> None:
     """Per-index table: i, r, s, b, L, Ltilde, term, partial_sum; ``validate``
-    has checked 1 <= horizon <= horizon_cap. r and Ltilde are the instance's
-    ``terms``; s, the clamped b and L are its ``s_at``, ``b_at`` and ``cave_level``.
+    has checked 1 <= horizon <= horizon_cap. ``terms`` checks the range once and gives r and
+    Ltilde; ``_nights`` beside it gives cut(i) and R(i), and the unchecked ``_s_sum`` S(i), so
+    s, the clamped b = i - cut(i) and L = S(i) - R(i) cost no checked read a row.
     A recurring value (the term's parts are often r and Ltilde) is converted once."""
     text = functools.lru_cache(maxsize=16)(decimal_str)
     writer = csv.writer(sys.stdout)
     writer.writerow(["i", "r", "s", "b", "L", "Ltilde", "term", "partial_sum"])
     partial_sum = RunningSum()
-    for i, (r, ltilde) in enumerate(instance.terms(1, instance.valid_end(horizon)), 1):
+    end, s_before = instance.valid_end(horizon), 0
+    for i, ((r, ltilde), (cutoff, _, after)) in enumerate(zip(instance.terms(1, end), instance._nights(1, end)), 1):
         term_text = ""
         if ltilde > 0:
             term = Fraction(r, ltilde)
@@ -184,8 +186,10 @@ def _write_index_csv(instance: GameInstance, horizon: int) -> None:
             except OverflowError:
                 raise LimitExceeded(f"term or partial sum of night {i} exceeds the float range") from None
             term_text = fraction_str(term, text)
-        writer.writerow([i, text(r), text(instance.s_at(i)), instance.b_at(i),
-                         text(instance.cave_level(i)), text(ltilde), term_text, repr(partial_sum.value)])
+        s_i = instance._s_sum(i)
+        writer.writerow([i, text(r), text(s_i - s_before), i - cutoff,
+                         text(s_i - after), text(ltilde), term_text, repr(partial_sum.value)])
+        s_before = s_i
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

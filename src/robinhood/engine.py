@@ -367,12 +367,14 @@ def run_trace(
     emit(canonical_dumps(header))
     # Every night and tag is checked, so the loop checks nothing.
     state, rnd = CaveState(), strategy is StrategyKind.OLDEST_RND
-    # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive the trial's key once.
+    # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive the trial's key once, and
+    # night i's only with a tag in the cave, as _removed_tags draws nothing on any other night.
     trial_key = child_key(seed, trial_index)
     for i, play in enumerate(plays, 1):
         if i in pending:
             _tag(state, i, pending[i])
-        removed = _removed_tags(state, strategy, play, CounterRNG(child_key(trial_key, i)) if rnd else None)
+        rng = CounterRNG(child_key(trial_key, i)) if rnd and state.in_cave else None
+        removed = _removed_tags(state, strategy, play, rng)
         _remove(state, i, removed)
         _, before, after, s_i, cuts, _ = play
         # The record as canonical_dumps would write it: keys sorted, no whitespace. S(i) bounds

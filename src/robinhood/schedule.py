@@ -64,25 +64,40 @@ Play = tuple[int, int, int, int, list[tuple[int, int, int]], tuple[int, int]]
 Quad = tuple[int, int, int]
 
 
-def _to_decimal(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
-    """n (0 <= n < 2**bits) as an exact Decimal, split at a power of two and recombined."""
+#: One table of exact powers per kind for the process, keyed by aligned width: 2**w as a Decimal
+#: (w = 4096 * 2**j bits) and 5**k as an int (k = 600 * 2**j digits). An entry never changes once
+#: set, so threads share the tables without a lock: two that race for one entry both store its value.
+_POW2: dict[int, Any] = {4096: decimal.Decimal(1 << 4096)}
+_POW5: dict[int, Any] = {600: 5**600}
+
+
+def _power(table: dict[int, Any], w: int) -> Any:
+    """table[w] for an aligned width w; a missing entry is the square of the one at w / 2."""
+    p = table.get(w)
+    if p is None:
+        p = table[w] = (half := _power(table, w >> 1)) * half
+    return p
+
+
+def _to_decimal(n: int, bits: int) -> decimal.Decimal:
+    """n (0 <= n < 2**bits) as an exact Decimal: hi * 2**w + lo for the largest aligned w < bits."""
     if bits <= 4096:
         return decimal.Decimal(n)
-    half = bits >> 1
-    hi = n >> half
-    if half not in powers:
-        powers[half] = decimal.Decimal(2) ** half
-    return _to_decimal(hi, bits - half, powers) * powers[half] + _to_decimal(n - (hi << half), half, powers)
+    w = 4096 << (((bits - 1) >> 12).bit_length() - 1)
+    hi = n >> w
+    return _to_decimal(hi, bits - w) * _power(_POW2, w) + _to_decimal(n - (hi << w), w)
 
 
 def decimal_str(n: int) -> str:
     """``str(n)`` at any size in subquadratic time; thread-safe, as it never touches the digit cap.
 
     Up to 2000 bits (603 digits, below every allowed cap) this is ``str``. Larger
-    values are split at powers of two into parts of at most 4096 bits, which
-    become exact Decimals, recombined as ``hi * 2**k + lo`` by Decimal's
-    subquadratic arithmetic in a thread-local context that traps ``Inexact``
-    (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.7).
+    values are split at aligned widths (the largest w = 4096 * 2**j below a part's
+    bits, so each low part is a perfect aligned subtree) into parts of at most 4096
+    bits, which become exact Decimals, recombined as ``hi * 2**w + lo`` by Decimal's
+    subquadratic arithmetic in a thread-local context that traps ``Inexact`` (Brent
+    and Zimmermann, *Modern Computer Arithmetic*, section 1.7). Each 2**w is read from
+    ``_POW2``, built in that context by squaring; it holds under twice the largest value converted.
     """
     m = abs(n)
     if m.bit_length() <= 2000:
@@ -90,34 +105,33 @@ def decimal_str(n: int) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = True
-        text = str(_to_decimal(m, m.bit_length(), {}))
+        text = str(_to_decimal(m, m.bit_length()))
     return "-" + text if n < 0 else text
 
 
-def _from_digits(text: str, lo: int, hi: int, powers: dict[int, int]) -> int:
-    """The ASCII digits text[lo:hi] as an int: halves recombined as lo + hi * 10**k."""
+def _from_digits(text: str, lo: int, hi: int) -> int:
+    """The ASCII digits text[lo:hi] as an int: lo + hi * 10**k for the largest aligned k < hi - lo."""
     if hi - lo <= 600:
         return int(text[lo:hi])
-    k = (hi - lo) >> 1
-    if k not in powers:
-        powers[k] = 5**k
-    return _from_digits(text, hi - k, hi, powers) + ((_from_digits(text, lo, hi - k, powers) * powers[k]) << k)
+    k = 600 << (((hi - lo - 1) // 600).bit_length() - 1)
+    return _from_digits(text, hi - k, hi) + ((_from_digits(text, lo, hi - k) * _power(_POW5, k)) << k)
 
 
 def parse_decimal(text: str) -> int:
     """The integer written by ``text`` in the grammar ``-?[0-9]+`` (ASCII only), else ValueError.
 
     Up to 640 characters (the lowest digit cap Python allows) this is ``int``.
-    Longer digit strings are split in halves down to slices of at most 600
-    digits, recombined as ``lo + ((hi * 5**k) << k)`` by subquadratic int
-    multiplication. The digit cap is never touched, so this is thread-safe.
+    Longer digit strings are split at aligned counts (the largest k = 600 * 2**j
+    below a part's length) down to slices of at most 600 digits, recombined as
+    ``lo + ((hi * 5**k) << k)`` by subquadratic int multiplication with 5**k read
+    from ``_POW5``. The digit cap is never touched, so this is thread-safe.
     """
     start = 1 if text[:1] == "-" else 0
     if not (text.isascii() and text[start:].isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
     if len(text) <= 640:
         return int(text, 10)
-    n = _from_digits(text, start, len(text), {})
+    n = _from_digits(text, start, len(text))
     return -n if start else n
 
 
@@ -218,11 +232,8 @@ class FunctionSpec:
         if self.kind == "affine":
             return {"kind": "affine", "a": self.a, "c": self.c}
         if self.kind == "table":
-            return {
-                "kind": "table",
-                "values": list(self.values),
-                "tail": self.tail.to_obj(text),  # type: ignore[union-attr]
-            }
+            tail = self.tail.to_obj(text)  # type: ignore[union-attr]
+            return {"kind": "table", "values": list(self.values), "tail": tail}
         return {"kind": "generated", "values": [text(v) for v in self.values]}
 
 
@@ -246,6 +257,8 @@ def parse_function(obj: Any, path: str, parse: Callable[[str], int] = parse_deci
     missing = allowed - set(obj)
     if missing:
         raise SpecInvalid(f"{path}: missing fields {sorted(missing)} for kind {kind!r}")
+    if "values" in obj and not isinstance(obj["values"], list):
+        raise SpecInvalid(f"{path}.values: expected a list")
 
     if kind == "constant":
         value = _require_int(obj["value"], f"{path}.value")
@@ -253,21 +266,13 @@ def parse_function(obj: Any, path: str, parse: Callable[[str], int] = parse_deci
             raise SpecInvalid(f"{path}.value: constant must be nonnegative, got {value}")
         return FunctionSpec.constant(value)
     if kind == "affine":
-        a = _require_int(obj["a"], f"{path}.a")
-        c = _require_int(obj["c"], f"{path}.c")
-        return FunctionSpec.affine(a, c)
+        return FunctionSpec.affine(_require_int(obj["a"], f"{path}.a"), _require_int(obj["c"], f"{path}.c"))
     if kind == "table":
-        raw = obj["values"]
-        if not isinstance(raw, list):
-            raise SpecInvalid(f"{path}.values: expected a list")
-        values = [_require_int(v, f"{path}.values[{k}]") for k, v in enumerate(raw)]
+        values = [_require_int(v, f"{path}.values[{k}]") for k, v in enumerate(obj["values"])]
         tail = parse_function(obj["tail"], f"{path}.tail", parse)
         return FunctionSpec.table(values, tail)
     # generated
-    raw = obj["values"]
-    if not isinstance(raw, list):
-        raise SpecInvalid(f"{path}.values: expected a list")
-    values = [_require_decimal_string(v, f"{path}.values[{k}]", parse) for k, v in enumerate(raw)]
+    values = [_require_decimal_string(v, f"{path}.values[{k}]", parse) for k, v in enumerate(obj["values"])]
     return FunctionSpec.generated(values)
 
 
@@ -286,11 +291,7 @@ class ScheduleSpec:
     provenance: Mapping[str, Any] | None = field(default=None, compare=False)
 
     def to_obj(self, text: Callable[[int], str] = decimal_str) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "r": self.r_spec.to_obj(text),
-            "s": self.s_spec.to_obj(text),
-            "b": self.b_spec.to_obj(text),
-        }
+        obj = {"r": self.r_spec.to_obj(text), "s": self.s_spec.to_obj(text), "b": self.b_spec.to_obj(text)}
         if self.provenance is not None:
             obj["provenance"] = dict(self.provenance)
         return obj
@@ -311,12 +312,7 @@ def parse_schedule(obj: Any) -> ScheduleSpec:
     if provenance is not None and not isinstance(provenance, dict):
         raise SpecInvalid("provenance: expected an object")
     parse = cache(parse_decimal)
-    return ScheduleSpec(
-        r_spec=parse_function(obj["r"], "r", parse),
-        s_spec=parse_function(obj["s"], "s", parse),
-        b_spec=parse_function(obj["b"], "b", parse),
-        provenance=provenance,
-    )
+    return ScheduleSpec(*[parse_function(obj[key], key, parse) for key in ("r", "s", "b")], provenance)
 
 
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -391,9 +387,7 @@ class NightRuns:
     def last(self, hi: int) -> int | None:
         """Latest night <= hi on which the condition holds, or None."""
         k = bisect_right(self._edges, hi)
-        if k % 2:
-            return hi
-        return self._edges[k - 1] - 1 if k else None
+        return hi if k % 2 else self._edges[k - 1] - 1 if k else None
 
     def covers(self, lo: int, hi: int) -> bool:
         """Whether the condition holds on every night of [lo, hi]."""

@@ -6,15 +6,23 @@
 summed by C-level iterators, or skipped whole when the run's very-old pool
 is empty, so no closed night is read through ``_nights`` and no per-night
 array is kept.
+
+``validate --csv`` checks its range once: its rows come from ``terms`` and
+``_nights`` beside it, so the number of checked reads (``require_valid``,
+``require_playable``, ``check_horizon``) does not grow with the rows.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import tracemalloc
 
 import pytest
 
 from robinhood import FunctionSpec, GameInstance, series_diagnostics
+from robinhood.cli import dispatch
+from robinhood.schedule import canonical_dumps
 
 from .conftest import make_spec
 
@@ -59,3 +67,45 @@ def test_series_diagnostics_keeps_no_per_night_array() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _record_checked_reads(monkeypatch) -> list[str]:
+    """Patches the instance's range checks to record the name of each call."""
+    calls: list[str] = []
+    for name in ("require_valid", "require_playable", "check_horizon"):
+
+        def counted(self, *args, _name=name, _check=getattr(GameInstance, name)):
+            calls.append(_name)
+            return _check(self, *args)
+
+        monkeypatch.setattr(GameInstance, name, counted)
+    return calls
+
+
+# A table prefix with a growing memory, then closed tails; and one that turns invalid on day 3 (r >= s).
+CSV_SPECS = {
+    "prefix-then-tail": make_spec(FunctionSpec.table([1, 2, 1], FunctionSpec.constant(1)),
+                                  FunctionSpec.affine(1, 3), FunctionSpec.table([0, 1, 2], FunctionSpec.constant(2))),
+    "invalid-from-3": make_spec(FunctionSpec.table([1, 1, 5], FunctionSpec.constant(1)), 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_SPECS))
+def test_validate_csv_makes_a_constant_number_of_checked_reads(monkeypatch, capsys, tmp_path, name) -> None:
+    path = tmp_path / "sched.json"
+    path.write_text(canonical_dumps(CSV_SPECS[name].to_obj()))
+    calls = _record_checked_reads(monkeypatch)
+    counts, tables = [], []
+    for horizon in (100, 10_000):
+        calls.clear()
+        assert dispatch(["validate", str(path), "--horizon", str(horizon), "--csv"]) in (0, 1)
+        counts.append(len(calls))
+        tables.append(list(csv.reader(io.StringIO(capsys.readouterr().out))))
+    assert counts[0] == counts[1] <= 3, calls
+    # s, the clamped b and L are those the checked point readers give.
+    inst = GameInstance(CSV_SPECS[name], horizon_cap=100)
+    rows = tables[0][1:]
+    assert len(rows) == inst.valid_end(100)
+    for i, row in enumerate(rows, 1):
+        want = [i, inst.r_at(i), inst.s_at(i), inst.b_at(i), inst.cave_level(i), inst.very_old_level(i)]
+        assert row[:6] == [str(v) for v in want]

@@ -694,8 +694,9 @@ def test_trace_writes_counts_takes_and_positions_past_2000_bits(strategy) -> Non
 
 
 def test_a_trace_derives_one_stream_key_a_night(monkeypatch) -> None:
-    # Night i's key is child_key(trial key, i); the trial key is derived
-    # once, not again on every night through stream_key.
+    # Night i's key is child_key(trial key, i); the trial key is derived once,
+    # not again on every night through stream_key, and a night's key only when
+    # a tag is in the cave, as no other night draws.
     derived, child_key = [], rng.child_key
 
     def counted_key(key: int, p: int) -> int:
@@ -704,13 +705,21 @@ def test_a_trace_derives_one_stream_key_a_night(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "child_key", counted_key)
     monkeypatch.setattr(engine, "child_key", counted_key)
-    for strategy, tags, bound, digest in (
-        (RND, 300, 2000 + 1, "db3c51d718034015243c629618b4bee22fc403aa09a2ca374d1ffb2da7260430"),
-        (DET, 1000, 1, "be7cd706f5975e63eef6252806fca1e71da0b95ae7d12df94ae8dc7418621881"),
+    # The last case's tags arrive on days 100..110 and are all gone by night 502.
+    for inst, strategy, tags, digest in (
+        (_R1S3B2, RND, [(d, 1) for d in range(1, 301)], "db3c51d718034015243c629618b4bee22fc403aa09a2ca374d1ffb2da7260430"),
+        (_R1S3B2, DET, [(d, 1) for d in range(1, 1001)], "be7cd706f5975e63eef6252806fca1e71da0b95ae7d12df94ae8dc7418621881"),
+        (make_instance(2, 3, 0, horizon_cap=2000), RND, [(d, p) for d in range(100, 111) for p in (1, 2, 3)],
+         "7c2bee96f12b0c9fa9969b831f2470719be8a1776f2114726103efc0fec42f9e"),
     ):
         derived.clear()
-        trace = run_trace(_R1S3B2, strategy, 2000, 5, tagged_days=[(d, 1) for d in range(1, tags + 1)])
-        assert len(derived) <= bound and trace.digest == digest
+        trace = run_trace(inst, strategy, 2000, 5, tagged_days=tags)
+        assert trace.digest == digest
+        tagged_nights = [
+            i for i in range(1, 2001)
+            if any(b.day <= i and (b.removed_night is None or b.removed_night >= i) for b in trace.tagged)
+        ]
+        assert derived == [0] + (tagged_nights if strategy is RND else [])
 
 
 def test_a_night_costs_the_same_under_full_memory() -> None:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
 
@@ -26,6 +29,7 @@ from robinhood import (
     parse_function,
     parse_schedule,
 )
+from robinhood import schedule
 from robinhood.schedule import bounded_memory_gap, decimal_str, parse_decimal, spec_plus_one
 
 from .conftest import make_instance, make_spec
@@ -173,10 +177,15 @@ def builtin_digit_cap_lifted():
         sys.set_int_max_str_digits(before)
 
 
+def _aligned(unit: int) -> list[int]:
+    """The aligned split points unit * 2**j, j <= 7, and their neighbours."""
+    return [(unit << j) + e for j in range(8) for e in (-1, 0, 1)]
+
+
 def _boundary_magnitudes():
-    """Magnitudes at the kernels' switch points and at powers of 2 and 10."""
-    bits = st.sampled_from([1, 2000, 2001, 4096, 4097, 8192, 8193]) | st.integers(1, 500_000)
-    digits = st.sampled_from([639, 640, 641, 1233, 1234]) | st.integers(1, 150_000)
+    """Magnitudes at the kernels' switch points, at their aligned split points and at powers of 2 and 10."""
+    bits = st.sampled_from([1, 2000, 2001, *_aligned(4096)]) | st.integers(1, 500_000)
+    digits = st.sampled_from([639, 640, 641, 1233, 1234, *_aligned(600)]) | st.integers(1, 150_000)
     return st.one_of(
         st.builds(lambda k, d: (1 << k) + d, bits, st.sampled_from([-1, 0, 1])),
         st.builds(lambda k, d: 10**k + d, digits, st.sampled_from([-1, 0])),
@@ -198,6 +207,52 @@ def test_decimal_conversions_round_trip_at_every_size(magnitude, negative) -> No
     with builtin_digit_cap_lifted():
         assert text == str(n)
     assert parse_decimal(text) == n
+
+
+def _fresh_power_tables(monkeypatch) -> tuple[dict, dict]:
+    """Swaps the process's power tables for ones holding only their first entries, for one test."""
+    p2, p5 = {4096: schedule._POW2[4096]}, {600: schedule._POW5[600]}
+    monkeypatch.setattr(schedule, "_POW2", p2)
+    monkeypatch.setattr(schedule, "_POW5", p5)
+    return p2, p5
+
+
+@pytest.mark.parametrize("bits", [4097, 8192, 8193, (4096 << 5) + 1, 300_000])
+def test_power_tables_hold_exact_aligned_entries_and_grow_with_the_log_of_the_size(monkeypatch, bits) -> None:
+    p2, p5 = _fresh_power_tables(monkeypatch)
+    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+    text = decimal_str(n)
+    assert parse_decimal(text) == n
+    for table, unit, size in ((p2, 4096, bits), (p5, 600, len(text))):
+        # Every width unit * 2**j below the size, each kept once: at most ceil(log2(size / unit)) + 1
+        # entries, under twice the value's bits in all.
+        assert sorted(table) == [unit << j for j in range(size.bit_length()) if unit << j < size]
+        assert len(table) <= math.ceil(math.log2(size / unit)) + 1
+        assert sum(int(p).bit_length() for p in table.values()) < 2 * bits
+    assert all(int(p) == 1 << w for w, p in p2.items())
+    assert all(p == 5**k for k, p in p5.items())
+
+
+def test_threads_converting_the_same_values_at_once_all_get_str(monkeypatch) -> None:
+    # Fresh tables and a short switch interval, so the threads race to build the same entries.
+    _fresh_power_tables(monkeypatch)
+    values = [random.Random(k).getrandbits(k) | 1 << (k - 1) for k in ((4096 << 5) + 1, 100_001, 4096 << 4)]
+    values += [-v for v in values]
+    with builtin_digit_cap_lifted():
+        want = [str(v) for v in values]
+    start, interval = threading.Barrier(4, timeout=60), sys.getswitchinterval()
+
+    def convert() -> tuple[list[str], list[int]]:
+        start.wait()
+        return [decimal_str(v) for v in values], [parse_decimal(t) for t in want]
+
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(convert) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [(want, values)] * 4
 
 
 @pytest.mark.parametrize(
