@@ -51,6 +51,7 @@ from .schedule import (
     canonical_dumps,
     decimal_str,
     load_schedule,
+    open_output,
     parse_decimal,
     parse_function,
     read_json,
@@ -232,7 +233,7 @@ class _FileOnFirstWrite:
         self.path, self.fh = path, None
 
     def write(self, text: str) -> None:
-        self.fh = self.fh or open(self.path, "w", encoding="utf-8")
+        self.fh = self.fh or open_output(self.path, "trace file")
         self.fh.write(text)
 
     def close(self) -> None:

@@ -62,6 +62,7 @@ from .schedule import (
     bounded_memory_gap,
     canonical_dumps,
     decimal_str,
+    open_output,
     spec_plus_one,
 )
 
@@ -443,7 +444,7 @@ def write_instance_files(
     ``out.json`` becomes ``out.b.json`` (schedule under b), ``out.c.json``
     (schedule under c), and ``out.cert.json`` (per-index certificates).
     The files share most integers, so each distinct value is converted once,
-    by ``text`` or else by a memoized ``decimal_str``.
+    by ``text`` or else by a memoized ``decimal_str``; an unopenable file is SpecInvalid.
     """
     text = text or functools.cache(decimal_str)
     stem = out_path[:-5] if out_path.endswith(".json") else out_path
@@ -458,7 +459,7 @@ def write_instance_files(
         "certificate": instance.certificate_obj(text),
     }
     for key, path in paths.items():
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, "output file") as fh:
             fh.write(canonical_dumps(contents[key]))
             fh.write("\n")
     return paths

@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SpecInvalid, VerificationFailed
 from .rng import RNG_VERSION, CounterRNG, child_bases_vec, child_key, child_keys_many, child_keys_vec, words_vec
@@ -42,6 +42,7 @@ from .rng import RNG_VERSION, CounterRNG, child_bases_vec, child_key, child_keys
 from .schedule import VERY_OLD_KEY, GameInstance, Play, canonical_dumps, decimal_str
 
 TRACE_FORMAT = "rh-trace-v1"
+TRACE_CHUNK_LINES = 256  # run_trace hashes and writes its lines this many at a time
 MC_BLOCK_WORDS = 1 << 15  # size of one Monte Carlo draw's (nights x live trials) grid
 _DAY, _DAY_POS = attrgetter("day"), attrgetter("day", "pos")  # bisection keys on CaveState.tagged
 
@@ -133,43 +134,41 @@ def hypergeom_weights(v: int, t: int, q: int) -> tuple[list[int], int]:
         weights[j] = C(t, j) * perm(q, j) * perm(v - q, t - j)
         total      = perm(v, t)
 
-    weights[j] is 0 below j0 = max(0, t - (v - q)) and above min(t, q).
-    In between, one product gives weights[j0] and the ratio of consecutive
-    terms gives the rest::
-
-        weights[j + 1] = weights[j] * (t - j) * (q - j) // ((j + 1) * (v - q - t + j + 1))
-
-    where the division is exact. That is O(t) operations on big integers,
-    with no factorials of v, so the law stays exact for astronomically
-    large cells.
+    weights[j] is 0 below j0 = max(0, t - (v - q)) and above min(t, q), and
+    ``_hypergeom_support`` makes the ones in between.
     """
+    support = dict(_hypergeom_support(v, t, q))
+    return [support.get(j, 0) for j in range(t + 1)], math.perm(v, t)
+
+
+def _hypergeom_support(v: int, t: int, q: int) -> Iterator[tuple[int, int]]:
+    """(j, weights[j]) for j = j0 .. min(t, q), made lazily: one product gives weights[j0], and
+    weights[j + 1] = weights[j] * (t - j) * (q - j) // ((j + 1) * (v - q - t + j + 1)), an exact
+    division, the rest. No factorial of v is made, so the law stays exact for astronomical cells."""
     if not (0 <= t <= v and 0 <= q <= v):
         raise ValueError(f"invalid hypergeometric parameters v={v} t={t} q={q}")
-    weights = [0] * (t + 1)
     rest = v - q
     j0 = max(0, t - rest)
     w = math.comb(t, j0) * math.perm(q, j0) * math.perm(rest, t - j0)
     for j in range(j0, min(t, q)):
-        weights[j] = w
+        yield j, w
         w = w * (t - j) * (q - j) // ((j + 1) * (rest - t + j + 1))
-    weights[min(t, q)] = w
-    return weights, math.perm(v, t)
+    yield min(t, q), w
 
 
 def sample_hypergeom(v: int, t: int, q: int, rng: CounterRNG) -> int:
-    """Exact draw of how many of t tagged bags fall in a uniform q-subset."""
+    """Exact draw of how many of t tagged bags fall in a uniform q-subset: u = below(perm(v, t)),
+    then the cdf, walked only up to the weight that covers u."""
     if t == 0 or q == 0:
         return 0
     if q == v:
         return t
-    if t == 1:  # weights (v - q, q) over v: one draw, no big-integer products
+    if t == 1:  # weights (v - q, q) over v, the Monte Carlo dip branch's draw: no big-integer products
         return int(rng.below(v) >= v - q)
-    weights, total = hypergeom_weights(v, t, q)
-    u = rng.below(total)
-    acc = 0
-    for j, w in enumerate(weights):
-        acc += w
-        if u < acc:
+    u = rng.below(math.perm(v, t))
+    for j, w in _hypergeom_support(v, t, q):
+        u -= w
+        if u < 0:
             return j
     raise VerificationFailed("hypergeometric weights did not cover the draw")
 
@@ -230,14 +229,13 @@ def _removed_tags(state: CaveState, strategy: StrategyKind, play: Play, rng: Cou
         last = bisect_right(tagged, fifo, key=_DAY_POS)  # the ids FIFO has reached are 1..last
         return in_cave[: bisect_right(in_cave, last)]
     removed: list[int] = []
-    if in_cave:  # with no tag in the cave every draw is forced, so none is made
-        for key, count, take in cuts:  # oldest first, so the ids come out in increasing order
-            lo = bisect_left(in_cave, bisect_left(tagged, key, key=_DAY) + 1)
-            end = bisect_left(tagged, (key or cutoff) + 1, key=_DAY) + 1
-            t = bisect_left(in_cave, end, lo) - lo
-            # A whole cell draws nothing: both draws are forced.
-            j = sample_hypergeom(count, t, take, rng)
-            removed.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
+    for key, count, take in cuts:  # oldest first, so the ids come out in increasing order
+        lo = bisect_left(in_cave, bisect_left(tagged, key, key=_DAY) + 1)
+        end = bisect_left(tagged, (key or cutoff) + 1, key=_DAY) + 1
+        t = bisect_left(in_cave, end, lo) - lo
+        # A cell with no tag in it, or taken whole, draws nothing: both draws are forced.
+        j = sample_hypergeom(count, t, take, rng)
+        removed.extend(in_cave[lo + k] for k in _choose_uniform_subset(t, j, rng))
     return removed
 
 
@@ -325,9 +323,10 @@ def run_trace(
 
     Deterministic given (instance, strategy, nights, seed, tags): night i
     draws from the stream keyed by ``stream_key(seed, trial_index, i)``.
-    Every input error is raised before the first line. With ``sink``, the
-    text ``to_jsonl()`` would return goes to ``sink`` one line at a time as
-    it is made, and the returned trace keeps no lines.
+    Every input error is raised before the first line. Lines are hashed in
+    chunks of ``TRACE_CHUNK_LINES``. With ``sink``, the text ``to_jsonl()``
+    would return goes to ``sink`` one chunk at a time as it is made, then
+    the digest line, and the returned trace keeps no lines.
     """
     strategy = as_strategy(strategy)
     if nights < 0:
@@ -355,36 +354,41 @@ def run_trace(
     }
     lines: list[str] = []
     hasher = hashlib.sha256()
+    chunk = [canonical_dumps(header)]
 
-    def emit(line: str) -> None:
-        text = line + "\n"
+    def flush() -> None:
+        text = "\n".join(chunk) + "\n"
         hasher.update(text.encode("ascii"))
         if sink is None:
-            lines.append(line)
+            lines.extend(chunk)
         else:
             sink(text)
+        chunk.clear()
 
-    emit(canonical_dumps(header))
     # Every night and tag is checked, so the loop checks nothing.
     state, rnd = CaveState(), strategy is StrategyKind.OLDEST_RND
     # stream_key(seed, t, i) = child_key(child_key(seed, t), i): derive the trial's key once, and
-    # night i's only with a tag in the cave, as _removed_tags draws nothing on any other night.
+    # night i's only with a tag in the cave, as no other night removes a tag or draws.
     trial_key = child_key(seed, trial_index)
     for i, play in enumerate(plays, 1):
+        if len(chunk) == TRACE_CHUNK_LINES:
+            flush()
         if i in pending:
             _tag(state, i, pending[i])
-        rng = CounterRNG(child_key(trial_key, i)) if rnd and state.in_cave else None
-        removed = _removed_tags(state, strategy, play, rng)
-        _remove(state, i, removed)
         _, before, after, s_i, cuts, _ = play
         # The record as canonical_dumps would write it: keys sorted, no whitespace. S(i) bounds
         # every count, take and position in it, so below decimal_str's 2000 bits all are str.
         dec = str if s_i.bit_length() <= 2000 else decimal_str
+        rng = CounterRNG(child_key(trial_key, i)) if rnd and state.in_cave else None
+        removed, events = _removed_tags(state, strategy, play, rng) if state.in_cave else (), ""
+        if removed:  # on most nights no tag goes, and the night writes no event
+            _remove(state, i, removed)
+            bags = [state.tagged[bag_id - 1] for bag_id in removed]
+            events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{dec(b.pos)}"}}' for b in bags])
         cells = ",".join([f'[{key},"{dec(take)}"]' for key, _, take in cuts])
-        bags = [state.tagged[bag_id - 1] for bag_id in removed]
-        events = ",".join([f'{{"day":{b.day},"id":{b.id},"night":{i},"pos":"{dec(b.pos)}"}}' for b in bags])
-        emit(f'{{"cave_after":"{dec(s_i - after)}","cave_before":"{dec(s_i - before)}",'
-             f'"i":{i},"removed_cells":[{cells}],"tagged_events":[{events}]}}')
+        chunk.append(f'{{"cave_after":"{dec(s_i - after)}","cave_before":"{dec(s_i - before)}",'
+                     f'"i":{i},"removed_cells":[{cells}],"tagged_events":[{events}]}}')
+    flush()  # the chunk holds the header or a night: it is never empty here
 
     digest = hasher.hexdigest()
     if sink is not None:

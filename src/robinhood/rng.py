@@ -126,9 +126,10 @@ class CounterRNG:
         """Uniform integer with exactly `nbits` random bits (0 for nbits=0)."""
         if nbits <= 0:
             return 0
-        v = 0
-        for _ in range((nbits + 63) // 64):
-            v = (v << 64) | self.next64()
+        key, start, k, v = self.key, self.counter + 1, (nbits + 63) // 64, 0
+        for n in range(start, start + k):  # word(key, n - 1), first word highest; mix64 reduces mod 2**64
+            v = (v << 64) | mix64(key + n * _PHI)
+        self.counter += k
         return v & ((1 << nbits) - 1)
 
     def below(self, n: int) -> int:

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, count, pairwise, repeat
 from math import isqrt
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .errors import (
     DEFAULT_DIGIT_BUDGET,
@@ -334,6 +334,14 @@ def read_json(path: str, what: str) -> Any:
         raise SpecInvalid(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # undecodable UTF-8, or an int literal past the digit cap
         raise SpecInvalid(f"{path}: unreadable JSON: {exc}") from exc
+
+
+def open_output(path: str, what: str) -> TextIO:
+    """``path`` opened (and truncated) for UTF-8 text; any failure to open it is SpecInvalid."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SpecInvalid(f"cannot write {what} {path!r}: {exc}") from exc
 
 
 def load_schedule(path: str) -> ScheduleSpec:

@@ -341,6 +341,27 @@ def test_construct_writes_three_files(tmp_path, capsys) -> None:
             json.load(fh)
 
 
+@pytest.mark.parametrize(
+    "command, what, written",
+    [
+        (["construct", "--memory-b", "constant:0", "--steps", "4", "-o"], "output file", "sep.b.json"),
+        (["simulate", "{sched}", "--nights", "300", "--tag-day", "2", "--out"], "trace file", "sep.json"),
+    ],
+    ids=["construct", "simulate"],
+)
+def test_an_output_in_a_missing_directory_is_spec_invalid(sched, tmp_path, capsys, command, what, written) -> None:
+    # Opening the output fails, so no line goes to stdout and no file or directory is made.
+    out_path = tmp_path / "missing" / "sep.json"
+    before = sorted(tmp_path.rglob("*"))
+    code = dispatch([arg.format(sched=sched) for arg in command] + [str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "SpecInvalid"
+    assert error["message"].startswith(f"cannot write {what} {str(out_path.parent / written)!r}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_construct_digit_budget_exit_code(tmp_path, capsys) -> None:
     code = dispatch(["construct", "--memory-b", "constant:0", "--steps", "40", "-o", str(tmp_path / "x")])
     assert code == 2

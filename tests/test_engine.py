@@ -6,13 +6,14 @@ import dataclasses
 import json
 import math
 import time
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinhood import (
@@ -470,6 +471,74 @@ def test_a_lone_tag_draws_what_the_weights_give(v, data, key) -> None:
     assert rng.counter == ref.counter
 
 
+def full_weights_search(v: int, t: int, q: int, rng: CounterRNG) -> int:
+    """The search sample_hypergeom made before it was lazy: every weight by the
+    product formula, then one below(total) draw and the inverse cdf over them all."""
+    if t == 0 or q == 0:
+        return 0
+    if q == v:
+        return t
+    if t == 1:
+        return int(rng.below(v) >= v - q)
+    u, acc = rng.below(math.perm(v, t)), 0
+    for j, w in enumerate(product_weights(v, t, q)):
+        acc += w
+        if u < acc:
+            return j
+    raise AssertionError("the weights do not sum to perm(v, t)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergeom_params(), st.integers(0, 2**64 - 1))
+@example((10, 8, 5), 3)  # j0 = 3 > 0: t > v - q
+@example((10, 4, 10), 3)  # q = v
+@example((10, 0, 4), 3)  # t = 0
+@example((10, 1, 4), 3)  # t = 1
+@example((10**400 + 7, 40, 10**400 // 3), 3)  # a 400-digit cell
+@example((10**400 + 7, 40, 10**400 - 10), 3)  # a 400-digit cell with j0 = 23
+def test_the_lazy_search_draws_what_the_full_weights_search_draws(params, key) -> None:
+    v, t, q = params
+    lazy, full = CounterRNG(key), CounterRNG(key)
+    assert sample_hypergeom(v, t, q, lazy) == full_weights_search(v, t, q, full)
+    assert lazy.counter == full.counter
+
+
+class DrawnU:
+    """An rng whose one below() draw is u."""
+
+    def __init__(self, u: int) -> None:
+        self.u = u
+
+    def below(self, n: int) -> int:
+        assert 0 <= self.u < n
+        return self.u
+
+
+def test_the_lazy_search_inverts_the_cdf_at_every_draw() -> None:
+    for v in range(1, 7):
+        for t in range(1, v + 1):
+            for q in range(1, v):
+                cdf = list(accumulate(product_weights(v, t, q)))
+                for u in range(math.perm(v, t)):
+                    assert sample_hypergeom(v, t, q, DrawnU(u)) == bisect_right(cdf, u), (v, t, q, u)
+
+
+def test_the_lazy_search_makes_the_weights_up_to_the_drawn_one(monkeypatch) -> None:
+    made, support = [], engine._hypergeom_support
+
+    def counted(v, t, q):
+        for j, w in support(v, t, q):
+            made.append(j)
+            yield j, w
+
+    monkeypatch.setattr(engine, "_hypergeom_support", counted)
+    for v, t, q, j0 in ((10**400, 18, 10**6, 0), (10**4, 300, 10**4 // 3, 0), (10**400, 40, 10**400 - 10, 30)):
+        for key in range(20):
+            made.clear()
+            j = sample_hypergeom(v, t, q, CounterRNG(key))
+            assert made == list(range(j0, j + 1)), (t, q, key)
+
+
 def test_sample_hypergeom_frequencies() -> None:
     v, t, q = 6, 3, 3
     rng = CounterRNG(stream_key(404, 0, 1))
@@ -720,6 +789,34 @@ def test_a_trace_derives_one_stream_key_a_night(monkeypatch) -> None:
             if any(b.day <= i and (b.removed_night is None or b.removed_night >= i) for b in trace.tagged)
         ]
         assert derived == [0] + (tagged_nights if strategy is RND else [])
+
+
+_CHUNK = engine.TRACE_CHUNK_LINES
+
+
+@pytest.mark.parametrize("nights", [0, 1, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("strategy", [DET, RND])
+def test_a_sunk_trace_is_the_kept_trace_in_chunks(strategy, nights) -> None:
+    # The header is the first line, so at CHUNK - 1 nights the lines fill one chunk exactly.
+    tags = [(d, 1) for d in range(1, nights + 2, 3)]
+    calls: list[str] = []
+    sunk = run_trace(_R1S3B2, strategy, nights, 5, tagged_days=tags, sink=calls.append)
+    kept = run_trace(_R1S3B2, strategy, nights, 5, tagged_days=tags)
+    assert "".join(calls) == kept.to_jsonl()
+    assert sunk.lines == [] and sunk.digest == kept.digest and len(kept.lines) == 1 + nights
+    assert [text.count("\n") for text in calls] == [_CHUNK] * ((1 + nights) // _CHUNK) + (
+        [(1 + nights) % _CHUNK] if (1 + nights) % _CHUNK else []) + [1]
+
+
+@pytest.mark.parametrize("strategy", [DET, RND])
+def test_an_input_error_reaches_the_sink_zero_times(strategy) -> None:
+    # Night 3 breaks the memory bound; run 1 tags a bag outside day 2's batch of 3.
+    breaks = make_instance(1, 3, FunctionSpec.table([0, 0, 2], FunctionSpec.constant(2)), horizon_cap=_CHUNK + 1)
+    for inst, tags, error in ((_R1S3B2, [(2, 4)], SpecInvalid), (breaks, [(1, 1)], RestrictionViolated)):
+        calls: list[str] = []
+        with pytest.raises(error):
+            run_trace(inst, strategy, _CHUNK + 1, 5, tagged_days=tags, sink=calls.append)
+        assert calls == []
 
 
 def test_a_night_costs_the_same_under_full_memory() -> None:

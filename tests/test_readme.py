@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from robinhood.cli import build_parser, dispatch
+from robinhood.engine import TRACE_CHUNK_LINES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCHEDULE = {
@@ -103,3 +104,8 @@ def test_only_nonempty_pools_keep_classify_from_answering_at_the_far_horizon(tmp
         "partial_sum": 0.0,
         "term_decay_exponent_estimate": None,
     }
+
+
+def test_the_readme_gives_the_trace_chunk_size() -> None:
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"Lines are hashed and written in chunks of {TRACE_CHUNK_LINES} (`TRACE_CHUNK_LINES`)" in text

@@ -135,6 +135,21 @@ def test_bits_bounds() -> None:
             assert 0 <= rng.bits(nbits) < 1 << nbits
 
 
+@pytest.mark.parametrize("nbits", [1, 63, 64, 65, 128, 4097])
+@pytest.mark.parametrize("key", [0, 1234567, 2**64 - 1])
+def test_bits_reads_the_next_words_first_highest(key, nbits) -> None:
+    rng = CounterRNG(key)
+    rng.next64()
+    rng.bits(130)  # counter 4
+    k = (nbits + 63) // 64
+    want = 0
+    for n in range(4, 4 + k):
+        want = (want << 64) | word(key, n)
+    assert rng.bits(nbits) == want & ((1 << nbits) - 1)
+    assert rng.counter == 4 + k
+    assert rng.next64() == word(key, 4 + k)
+
+
 def test_below_rejects_nonpositive() -> None:
     rng = CounterRNG(0)
     with pytest.raises(ValueError):
